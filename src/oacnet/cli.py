@@ -36,7 +36,7 @@ def cmd_train(args):
     if args.seed is not None:
         config.seed = args.seed
     os.makedirs(args.out_dir, exist_ok=True)
-    _print_config(args, {k: getattr(config, k) for k in config.KEYS})
+    _print_config(args, vars(config))
     print(f"seed: {config.seed}")
     try:
         model, history, val_batch = pipeline.train(
@@ -136,28 +136,27 @@ def cmd_bench(args):
     return 0
 
 
-def _load_model(path):
-    try:
-        model, extra = AttentiveAlignmentModel.load(path)
-        return model, None
-    except (storage.StorageError, ShapeError, FileNotFoundError) as e:
-        return None, str(e)
+def _load_checkpoint(path):
+    """The model saved at `path` and the training config written beside it."""
+    model, _ = AttentiveAlignmentModel.load(path)
+    tconf = pipeline.TrainConfig.from_file(os.path.join(path, "..", "train_config.txt"))
+    return model, tconf
+
+
+def _load_theta(path):
+    """Affine (6 values) or TPS (18 values) parameters from an OACT file."""
+    vec = storage.load_tensor(path).reshape(-1)
+    if vec.size not in (6, 18):
+        raise ShapeError(f"theta file must hold 6 or 18 values, got {vec.size}")
+    return geometry.params_from_vector("affine" if vec.size == 6 else "tps", vec)
 
 
 def cmd_eval(args):
     _print_config(args, {"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
-    predicted_theta = None
-    if args.theta_file:
-        vec = storage.load_tensor(args.theta_file).reshape(-1)
-        family = "affine" if vec.size == 6 else "tps"
-        predicted_theta = geometry.params_from_vector(family, vec)
+    predicted_theta = _load_theta(args.theta_file) if args.theta_file else None
 
     if args.keypoints_csv:
-        try:
-            pairs = storage.load_keypoints_csv(args.keypoints_csv)
-        except (storage.StorageError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+        pairs = storage.load_keypoints_csv(args.keypoints_csv)
         theta = predicted_theta or geometry.AffineParams.identity()
         predicted = {pid: theta for pid in pairs}
         image_hw = (args.image_size, args.image_size)
@@ -169,16 +168,7 @@ def cmd_eval(args):
     if not args.checkpoint:
         print("error: need --checkpoint or --keypoints-csv", file=sys.stderr)
         return 1
-    model, err = _load_model(args.checkpoint)
-    if model is None:
-        print(f"error: cannot load checkpoint: {err}", file=sys.stderr)
-        return 1
-    cfg_path = os.path.join(args.checkpoint, "..", "train_config.txt")
-    if os.path.isfile(cfg_path):
-        tconf = pipeline.TrainConfig.from_file(cfg_path)
-    else:
-        print("error: train_config.txt not found next to checkpoint", file=sys.stderr)
-        return 1
+    model, tconf = _load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     images = [
         pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
@@ -216,33 +206,15 @@ def cmd_eval(args):
 
 
 def cmd_warp(args):
-    try:
-        image = storage.load_image(args.image)
-    except (storage.StorageError, OSError) as e:
-        print(f"error: cannot read image: {e}", file=sys.stderr)
-        return 1
+    image = storage.load_image(args.image)
     _print_config(args, {"image": args.image, "out": args.out})
     if args.theta_file:
-        vec = storage.load_tensor(args.theta_file).reshape(-1)
-        if vec.size not in (6, 18):
-            print(f"error: theta file must hold 6 or 18 values, got {vec.size}", file=sys.stderr)
-            return 1
-        family = "affine" if vec.size == 6 else "tps"
-        theta = geometry.params_from_vector(family, vec)
-        warped = geometry.bilinear_warp(image, theta)
+        warped = geometry.bilinear_warp(image, _load_theta(args.theta_file))
         storage.save_image(args.out, warped)
         print(f"warped image written to {args.out}")
         return 0
     if args.checkpoint:
-        model, err = _load_model(args.checkpoint)
-        if model is None:
-            print(f"error: cannot load checkpoint: {err}", file=sys.stderr)
-            return 1
-        cfg_path = os.path.join(args.checkpoint, "..", "train_config.txt")
-        if not os.path.isfile(cfg_path):
-            print("error: train_config.txt not found next to checkpoint", file=sys.stderr)
-            return 1
-        tconf = pipeline.TrainConfig.from_file(cfg_path)
+        model, tconf = _load_checkpoint(args.checkpoint)
         rng = np.random.default_rng(args.seed)
         provider = pipeline.build_provider(tconf, channels=image.shape[0])
         pad = pipeline.default_pad(image.shape[1:])
@@ -323,7 +295,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (storage.StorageError, ShapeError, ValueError, OSError) as e:
+        # malformed or missing input: one line, not a traceback
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

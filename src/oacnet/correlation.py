@@ -114,7 +114,10 @@ def reorder_by_offset(c):
 
 
 def inverse_reorder(r, H, W):
-    """Recover the absolute-indexed map from a reordered one (round-trip oracle)."""
+    """Recover the absolute-indexed map from a reordered one.
+
+    Each valid entry moves to one distinct place, so this is also the adjoint
+    of reorder_by_offset that carries gradients back into the raw map."""
     single = r.ndim == 3
     if single:
         r = r[None]
@@ -124,11 +127,6 @@ def inverse_reorder(r, H, W):
     off_idx, i_idx, j_idx = np.nonzero(valid)
     c[:, chan[off_idx, i_idx, j_idx], i_idx, j_idx] = r[:, off_idx, i_idx, j_idx]
     return c[0] if single else c
-
-
-def scatter_to_absolute(grad_r, H, W):
-    """Adjoint of reorder_by_offset for gradient flow back into the raw map."""
-    return inverse_reorder(grad_r, H, W)
 
 
 class OacKernelBank:
@@ -241,7 +239,7 @@ def oac_backward_reordered(cache, bank, grad_h):
     )
     w_flat = bank.weights.value.reshape(bank.N, n_off)
     dr = np.einsum("nc,bnij->bcij", w_flat, dpre, optimize=True)
-    return scatter_to_absolute(dr, H, W)
+    return inverse_reorder(dr, H, W)
 
 
 def dump_kernel_sheets(bank, out_dir, prefix="kernel"):

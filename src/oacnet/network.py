@@ -30,12 +30,11 @@ from .tensor import (
     relu_forward,
     spatial_softmax_backward,
     spatial_softmax_forward,
-    xavier_uniform,
 )
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(storage.ConfigCodec):
     family: str = "affine"  # affine | tps
     D: int = 512
     H: int = 15
@@ -46,7 +45,6 @@ class ModelConfig:
     g_out: int = 128
     s_hidden: int = 64
     embed_dim: int = 5
-    embedding_kind: str = "learned"  # learned | coords
     oac_bias: bool = True
     oac_path: str = "direct"  # direct | reordered
     tps_grid: int = 3
@@ -60,8 +58,6 @@ class ModelConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.H < self.enc_kernel or self.W < self.enc_kernel:
             raise ShapeError(f"feature map {self.H}x{self.W} smaller than the encoder kernel")
-        if self.embedding_kind not in ("learned", "coords"):
-            raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
 
     @property
     def Hh(self):
@@ -75,44 +71,31 @@ class ModelConfig:
     def Q(self):
         return 6 if self.family == "affine" else 2 * self.tps_grid**2
 
-    INT_KEYS = ("D", "H", "W", "N", "encoder_channels", "g_hidden", "g_out",
-                "s_hidden", "embed_dim", "tps_grid", "seed")
-    STR_KEYS = ("family", "embedding_kind", "oac_path")
-    BOOL_KEYS = ("oac_bias",)
 
-    def to_lines(self):
-        lines = []
-        for k in self.STR_KEYS:
-            lines.append(f"{k} = {getattr(self, k)}")
-        for k in self.INT_KEYS:
-            lines.append(f"{k} = {getattr(self, k)}")
-        for k in self.BOOL_KEYS:
-            lines.append(f"{k} = {str(getattr(self, k)).lower()}")
-        return lines
+class ConvBNReLU:
+    """Valid k x k conv, batch norm and ReLU, with parameters `name`.w/.b/.bn."""
 
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {}
-        for k, v in d.items():
-            if k in cls.INT_KEYS:
-                kwargs[k] = int(v)
-            elif k in cls.STR_KEYS:
-                kwargs[k] = v
-            elif k in cls.BOOL_KEYS:
-                kwargs[k] = v in ("true", "True", "1")
-            else:
-                raise storage.StorageError(f"unknown model config key {k!r}")
-        return cls(**kwargs)
+    def __init__(self, rng, name, cin, cout, k=1):
+        self.w = Parameter(he_uniform(rng, (cout, cin, k, k), cin * k * k), f"{name}.w")
+        self.b = Parameter(np.zeros(cout), f"{name}.b")
+        self.bn = BatchNorm(cout, prefix=f"{name}.bn")
 
+    def parameters(self):
+        return [self.w, self.b] + self.bn.parameters()
 
-def _fixed_coordinate_embedding(Hh, Wh):
-    """(x, y, x*y, x^2, y^2) rows over the attention grid."""
-    xs = np.linspace(-1.0, 1.0, Wh) if Wh > 1 else np.zeros(1)
-    ys = np.linspace(-1.0, 1.0, Hh) if Hh > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    x = gx.reshape(-1)
-    y = gy.reshape(-1)
-    return np.stack([x, y, x * y, x * x, y * y], axis=1)
+    def forward(self, x, mode, update_stats):
+        z, conv_cache = conv2d_forward(x, self.w.value, self.b.value)
+        zn, bn_cache = self.bn.forward(z, mode, update_stats)
+        out, relu_cache = relu_forward(zn)
+        return out, (conv_cache, bn_cache, relu_cache)
+
+    def backward(self, cache, gout):
+        conv_cache, bn_cache, relu_cache = cache
+        dz = self.bn.backward(bn_cache, relu_backward(relu_cache, gout))
+        dx, gw, gb = conv2d_backward(conv_cache, dz)
+        self.w.grad += gw
+        self.b.grad += gb
+        return dx
 
 
 class AttentiveAlignmentModel:
@@ -125,41 +108,21 @@ class AttentiveAlignmentModel:
         self.bank = corr.OacKernelBank(cfg.N, cfg.H, cfg.W, rng=rng, use_bias=cfg.oac_bias)
         self.counter = corr.MultiplyCounter()
 
-        k = cfg.enc_kernel
+        # layers draw their weights from rng in this order
         ec = cfg.encoder_channels
-        self.enc_w = Parameter(he_uniform(rng, (ec, cfg.N, k, k), cfg.N * k * k), "encoder.w")
-        self.enc_b = Parameter(np.zeros(ec), "encoder.b")
-        self.enc_bn = BatchNorm(ec, prefix="encoder.bn")
-
-        # G: two 1x1-conv layers, both BN + ReLU; consumes feature + embedding
-        gin = ec + cfg.embed_dim
-        self.g1_w = Parameter(he_uniform(rng, (cfg.g_hidden, gin, 1, 1), gin), "g1.w")
-        self.g1_b = Parameter(np.zeros(cfg.g_hidden), "g1.b")
-        self.g1_bn = BatchNorm(cfg.g_hidden, prefix="g1.bn")
-        self.g2_w = Parameter(
-            he_uniform(rng, (cfg.g_out, cfg.g_hidden, 1, 1), cfg.g_hidden), "g2.w"
-        )
-        self.g2_b = Parameter(np.zeros(cfg.g_out), "g2.b")
-        self.g2_bn = BatchNorm(cfg.g_out, prefix="g2.bn")
-
-        # S: hidden 1x1 conv with BN + ReLU, then scalar output with no bias
+        self.encoder = ConvBNReLU(rng, "encoder", cfg.N, ec, k=cfg.enc_kernel)
+        # G: two 1x1 layers; consumes feature + embedding
+        self.g1 = ConvBNReLU(rng, "g1", ec + cfg.embed_dim, cfg.g_hidden)
+        self.g2 = ConvBNReLU(rng, "g2", cfg.g_hidden, cfg.g_out)
+        # S: one 1x1 layer, then a scalar output with no bias
         # (softmax is shift-invariant, so an output bias is unidentifiable)
-        self.s1_w = Parameter(he_uniform(rng, (cfg.s_hidden, ec, 1, 1), ec), "s1.w")
-        self.s1_b = Parameter(np.zeros(cfg.s_hidden), "s1.b")
-        self.s1_bn = BatchNorm(cfg.s_hidden, prefix="s1.bn")
+        self.s1 = ConvBNReLU(rng, "s1", ec, cfg.s_hidden)
         self.s2_w = Parameter(
             he_uniform(rng, (1, cfg.s_hidden, 1, 1), cfg.s_hidden), "s2.w"
         )
 
-        # index embedding: learned table, zero-init (or a fixed coordinate code)
-        n_loc = cfg.Hh * cfg.Wh
-        if cfg.embedding_kind == "learned":
-            self.embedding = Parameter(np.zeros((n_loc, cfg.embed_dim)), "embedding")
-        else:
-            fixed = _fixed_coordinate_embedding(cfg.Hh, cfg.Wh)
-            if cfg.embed_dim != fixed.shape[1]:
-                raise ShapeError("coordinate embedding requires embed_dim = 5")
-            self.embedding = Parameter(fixed, "embedding")
+        # index embedding: learned table, zero-init
+        self.embedding = Parameter(np.zeros((cfg.Hh * cfg.Wh, cfg.embed_dim)), "embedding")
 
         # zero-initialized so a fresh model predicts the identity transform;
         # the identity offset makes the early loss equal the identity baseline
@@ -170,17 +133,16 @@ class AttentiveAlignmentModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameter_groups(self):
-        groups = [
+        # this order fixes the checkpoint manifest and the Adam state layout
+        return [
             ("oac", self.bank.parameters()),
-            ("encoder", [self.enc_w, self.enc_b] + self.enc_bn.parameters()),
-            ("g_mlp", [self.g1_w, self.g1_b, self.g2_w, self.g2_b]
-             + self.g1_bn.parameters() + self.g2_bn.parameters()),
-            ("s_mlp", [self.s1_w, self.s1_b, self.s2_w] + self.s1_bn.parameters()),
+            ("encoder", self.encoder.parameters()),
+            ("g_mlp", [self.g1.w, self.g1.b, self.g2.w, self.g2.b]
+             + self.g1.bn.parameters() + self.g2.bn.parameters()),
+            ("s_mlp", [self.s1.w, self.s1.b, self.s2_w] + self.s1.bn.parameters()),
             ("head", [self.head_w]),
+            ("embedding", [self.embedding]),
         ]
-        if self.config.embedding_kind == "learned":
-            groups.append(("embedding", [self.embedding]))
-        return groups
 
     def parameters(self):
         return [p for _, ps in self.parameter_groups() for p in ps]
@@ -190,7 +152,7 @@ class AttentiveAlignmentModel:
             p.zero_grad()
 
     def batch_norms(self):
-        return [self.enc_bn, self.g1_bn, self.g2_bn, self.s1_bn]
+        return [layer.bn for layer in (self.encoder, self.g1, self.g2, self.s1)]
 
     # -- forward --------------------------------------------------------------
 
@@ -218,15 +180,10 @@ class AttentiveAlignmentModel:
             h, oac_cache = corr.oac_forward_direct(c, self.bank, self.counter)
         else:
             h, oac_cache = corr.oac_forward_reordered(c, self.bank, self.counter)
-
-        z1, conv_cache = conv2d_forward(h, self.enc_w.value, self.enc_b.value)
-        z2, enc_bn_cache = self.enc_bn.forward(z1, mode, update_stats)
-        F, enc_relu_cache = relu_forward(z2)  # (B, ec, Hh, Wh)
+        F, enc_cache = self.encoder.forward(h, mode, update_stats)  # (B, ec, Hh, Wh)
 
         # S branch
-        s1, s1_cache = conv2d_forward(F, self.s1_w.value, self.s1_b.value)
-        s1n, s1_bn_cache = self.s1_bn.forward(s1, mode, update_stats)
-        s1a, s1_relu_cache = relu_forward(s1n)
+        s1a, s1_cache = self.s1.forward(F, mode, update_stats)
         scores, s2_cache = conv2d_forward(s1a, self.s2_w.value, np.zeros(1))
         alpha, sm_cache = spatial_softmax_forward(scores)  # (B,1,Hh,Wh)
 
@@ -234,23 +191,16 @@ class AttentiveAlignmentModel:
         emb = self.embedding.value.T.reshape(1, cfg.embed_dim, cfg.Hh, cfg.Wh)
         emb_b = np.broadcast_to(emb, (B, cfg.embed_dim, cfg.Hh, cfg.Wh))
         g_in = np.concatenate([F, emb_b], axis=1)
-        g1, g1_cache = conv2d_forward(g_in, self.g1_w.value, self.g1_b.value)
-        g1n, g1_bn_cache = self.g1_bn.forward(g1, mode, update_stats)
-        g1a, g1_relu_cache = relu_forward(g1n)
-        g2, g2_cache = conv2d_forward(g1a, self.g2_w.value, self.g2_b.value)
-        g2n, g2_bn_cache = self.g2_bn.forward(g2, mode, update_stats)
-        g2a, g2_relu_cache = relu_forward(g2n)  # (B, g_out, Hh, Wh)
+        g1a, g1_cache = self.g1.forward(g_in, mode, update_stats)
+        g2a, g2_cache = self.g2.forward(g1a, mode, update_stats)  # (B, g_out, Hh, Wh)
 
         tau = np.einsum("bdhw,bhw->bd", g2a, alpha[:, 0], optimize=True)
         raw = tau @ self.head_w.value.T  # (B, Q)
         theta_vecs = raw + self.identity_offset[None, :]
 
         self._cache = dict(
-            oac=oac_cache, conv=conv_cache, enc_bn=enc_bn_cache, enc_relu=enc_relu_cache,
-            s1=s1_cache, s1_bn=s1_bn_cache, s1_relu=s1_relu_cache, s2=s2_cache,
-            sm=sm_cache, g1=g1_cache, g1_bn=g1_bn_cache, g1_relu=g1_relu_cache,
-            g2=g2_cache, g2_bn=g2_bn_cache, g2_relu=g2_relu_cache,
-            alpha=alpha, g2a=g2a, tau=tau, F=F,
+            oac=oac_cache, encoder=enc_cache, s1=s1_cache, s2=s2_cache, sm=sm_cache,
+            g1=g1_cache, g2=g2_cache, alpha=alpha, g2a=g2a, tau=tau, F=F,
         )
         state = AttentionState(F=F, scores=scores, alpha=alpha, tau=tau)
         return theta_vecs, state
@@ -272,40 +222,18 @@ class AttentiveAlignmentModel:
         dalpha = np.einsum("bdhw,bd->bhw", g2a, dtau, optimize=True)[:, None]
 
         # G branch
-        dg2n = relu_backward(cache["g2_relu"], dg2a)
-        dg2 = self.g2_bn.backward(cache["g2_bn"], dg2n)
-        dg1a, gw, gb = conv2d_backward(cache["g2"], dg2)
-        self.g2_w.grad += gw
-        self.g2_b.grad += gb
-        dg1n = relu_backward(cache["g1_relu"], dg1a)
-        dg1 = self.g1_bn.backward(cache["g1_bn"], dg1n)
-        dg_in, gw, gb = conv2d_backward(cache["g1"], dg1)
-        self.g1_w.grad += gw
-        self.g1_b.grad += gb
+        dg_in = self.g1.backward(cache["g1"], self.g2.backward(cache["g2"], dg2a))
         ec = self.config.encoder_channels
         dF = dg_in[:, :ec]
-        demb = dg_in[:, ec:]
-        if self.config.embedding_kind == "learned":
-            self.embedding.grad += demb.sum(axis=0).reshape(self.config.embed_dim, -1).T
+        self.embedding.grad += dg_in[:, ec:].sum(axis=0).reshape(self.config.embed_dim, -1).T
 
         # S branch
         dscores = spatial_softmax_backward(cache["sm"], dalpha)
         ds1a, gw, _ = conv2d_backward(cache["s2"], dscores)
         self.s2_w.grad += gw
-        ds1n = relu_backward(cache["s1_relu"], ds1a)
-        ds1 = self.s1_bn.backward(cache["s1_bn"], ds1n)
-        dF_s, gw, gb = conv2d_backward(cache["s1"], ds1)
-        self.s1_w.grad += gw
-        self.s1_b.grad += gb
-        dF = dF + dF_s
+        dF = dF + self.s1.backward(cache["s1"], ds1a)
 
-        # encoder
-        dz2 = relu_backward(cache["enc_relu"], dF)
-        dz1 = self.enc_bn.backward(cache["enc_bn"], dz2)
-        dh, gw, gb = conv2d_backward(cache["conv"], dz1)
-        self.enc_w.grad += gw
-        self.enc_b.grad += gb
-
+        dh = self.encoder.backward(cache["encoder"], dF)
         if self.config.oac_path == "direct":
             return corr.oac_backward_direct(cache["oac"], self.bank, dh)
         return corr.oac_backward_reordered(cache["oac"], self.bank, dh)
@@ -324,32 +252,31 @@ class AttentiveAlignmentModel:
             out.append((f"{prefix}.num_updates", np.array(float(bn.num_updates)), "stat"))
         return out
 
-    def save(self, dirpath, extra_config_lines=()):
-        lines = self.config.to_lines() + list(extra_config_lines)
-        storage.save_checkpoint(dirpath, self.state_tensors(), config_lines=lines)
+    def save(self, dirpath):
+        storage.save_checkpoint(dirpath, self.state_tensors(), config_lines=self.config.to_lines())
 
     @classmethod
     def load(cls, dirpath):
         tensors, entries, config_dict = storage.load_checkpoint(dirpath)
         if config_dict is None:
             raise storage.StorageError(f"{dirpath}: checkpoint has no config.txt")
-        model_keys = set(ModelConfig.INT_KEYS) | set(ModelConfig.STR_KEYS) | set(ModelConfig.BOOL_KEYS)
-        cfg = ModelConfig.from_dict({k: v for k, v in config_dict.items() if k in model_keys})
-        model = cls(cfg)
+        model = cls(ModelConfig.from_dict(config_dict))
+
+        def stored(name, shape):
+            if name not in tensors:
+                raise storage.StorageError(f"{dirpath}: missing tensor {name}")
+            arr = tensors[name]
+            if arr.shape != shape:
+                raise ShapeError(f"{dirpath}: {name} shape {arr.shape} != expected {shape}")
+            return arr
+
         for p in model.parameters():
-            if p.name not in tensors:
-                raise storage.StorageError(f"{dirpath}: missing tensor {p.name}")
-            arr = tensors[p.name]
-            if arr.shape != p.value.shape:
-                raise ShapeError(
-                    f"{dirpath}: {p.name} shape {arr.shape} != expected {p.value.shape}"
-                )
-            p.value[...] = arr
+            p.value[...] = stored(p.name, p.value.shape)
         for bn in model.batch_norms():
             prefix = bn.gamma.name.rsplit(".", 1)[0]
-            bn.running_mean = tensors[f"{prefix}.running_mean"].copy()
-            bn.running_var = tensors[f"{prefix}.running_var"].copy()
-            bn.num_updates = int(tensors[f"{prefix}.num_updates"])
+            bn.running_mean = stored(f"{prefix}.running_mean", bn.running_mean.shape).copy()
+            bn.running_var = stored(f"{prefix}.running_var", bn.running_var.shape).copy()
+            bn.num_updates = int(stored(f"{prefix}.num_updates", ()))
         return model, config_dict
 
 

@@ -140,7 +140,7 @@ def generate_pair(image, family, pad, rng, grid_n=3):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(storage.ConfigCodec):
     learning_rate: float = 2e-4
     batch_size: int = 32
     epochs: int = 50
@@ -163,14 +163,6 @@ class TrainConfig:
     tps_grid: int = 3
     oac_path: str = "reordered"
 
-    KEYS = ("learning_rate", "batch_size", "epochs", "steps_per_epoch", "family",
-            "seed", "provider", "feature_dim", "feature_h", "feature_w",
-            "kernel_count", "encoder_channels", "g_hidden", "g_out", "s_hidden",
-            "image_size", "image_channels", "corpus_size", "corpus_dir",
-            "tps_grid", "oac_path")
-    FLOAT_KEYS = ("learning_rate",)
-    STR_KEYS = ("family", "provider", "corpus_dir", "oac_path")
-
     def __post_init__(self):
         for k in ("batch_size", "epochs", "steps_per_epoch",
                   "feature_dim", "feature_h", "feature_w", "kernel_count",
@@ -181,31 +173,17 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.oac_path not in ("direct", "reordered"):
             raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
+        if self.image_size % self.feature_h or self.image_size % self.feature_w:
+            raise ValueError(f"image_size {self.image_size} not divisible by the "
+                             f"{self.feature_h}x{self.feature_w} feature grid")
+        kernel = ModelConfig.enc_kernel
+        if self.feature_h < kernel or self.feature_w < kernel:
+            raise ValueError(f"feature grid {self.feature_h}x{self.feature_w} smaller than "
+                             f"the {kernel}x{kernel} encoder")
 
     @property
     def total_steps(self):
         return self.epochs * self.steps_per_epoch
-
-    def to_lines(self):
-        return [f"{k} = {getattr(self, k)}" for k in self.KEYS]
-
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {}
-        for k, v in d.items():
-            if k not in cls.KEYS:
-                raise storage.StorageError(f"unknown train config key {k!r}")
-            if k in cls.FLOAT_KEYS:
-                kwargs[k] = float(v)
-            elif k in cls.STR_KEYS:
-                kwargs[k] = v
-            else:
-                kwargs[k] = int(v)
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_dict(storage.load_config_file(path, allowed_keys=cls.KEYS))
 
     def model_config(self):
         return ModelConfig(

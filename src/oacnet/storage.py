@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
+import typing
 
 import numpy as np
 
@@ -110,6 +112,51 @@ def parse_config_text(text, allowed_keys=None):
 def load_config_file(path, allowed_keys=None):
     with open(path) as f:
         return parse_config_text(f.read(), allowed_keys=allowed_keys)
+
+
+def _parse_bool(text):
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+_VALUE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+
+
+class ConfigCodec:
+    """Flat `key = value` form of a config dataclass, derived from the declared
+    type (int, float, str or bool) of each field set through __init__."""
+
+    @classmethod
+    def _field_types(cls):
+        hints = typing.get_type_hints(cls)
+        return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+    def to_lines(self):
+        lines = []
+        for key in self._field_types():
+            value = getattr(self, key)
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+        return lines
+
+    @classmethod
+    def from_dict(cls, d):
+        types = cls._field_types()
+        kwargs = {}
+        for key, text in d.items():
+            if key not in types:
+                raise StorageError(f"unknown {cls.__name__} key {key!r}")
+            try:
+                kwargs[key] = _VALUE_PARSERS[types[key]](text)
+            except ValueError:
+                raise StorageError(
+                    f"{key}: expected {types[key].__name__}, got {text!r}"
+                ) from None
+        return cls(**kwargs)
+
+    @classmethod
+    def from_file(cls, path):
+        return cls.from_dict(load_config_file(path, allowed_keys=cls._field_types()))
 
 
 # ---------------------------------------------------------------------------

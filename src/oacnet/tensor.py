@@ -54,11 +54,6 @@ def he_uniform(rng, shape, fan_in):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_uniform(rng, shape, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise
 

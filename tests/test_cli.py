@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface: exit codes, emitted files,
 and printed reports."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,13 @@ def trained_dir(tmp_path_factory):
     return root / "run"
 
 
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -58,6 +67,12 @@ class TestTrainCommand:
         code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "bad config" in capsys.readouterr().err
+
+    def test_bad_feature_grid_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path / "grid.cfg", feature_h="5")
+        code = main(["train", "--config", config, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_line_error(capsys, "bad config")
 
     def test_smoke_run_emits_artifacts(self, trained_dir, capsys):
         assert (trained_dir / "loss.csv").is_file()
@@ -220,6 +235,34 @@ class TestEvalCommand:
 
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
+
+    def test_bad_theta_size_exits_1(self, tmp_path, capsys):
+        storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(7))
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        assert main(["eval", "--keypoints-csv", csv,
+                     "--theta-file", str(tmp_path / "theta.oact")]) == 1
+        assert_one_line_error(capsys, "6 or 18 values")
+
+    def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        manifest = run / "checkpoint" / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(
+            line for line in lines if not line.startswith("encoder.bn.running_mean ")))
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
+        assert_one_line_error(capsys, "encoder.bn.running_mean")
+
+    @pytest.mark.parametrize("command", ["eval", "warp"])
+    def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        with open(run / "train_config.txt", "a") as f:
+            f.write("warmup = 5\n")
+        argv = [command, "--checkpoint", str(run / "checkpoint")]
+        if command == "warp":
+            src, _ = save_ramp(tmp_path / "in.pgm")
+            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, "warmup")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oacnet import geometry
+from oacnet import geometry, storage
 from oacnet.network import AttentiveAlignmentModel, ModelConfig
 from oacnet.tensor import (
     BatchNorm,
@@ -58,6 +58,14 @@ class TestModelConfig:
         cfg2 = ModelConfig.from_dict(d)
         assert cfg2 == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("oac_bias", "TRUE"), ("oac_bias", "yes"), ("oac_bias", "1"), ("N", "4x8"),
+        ("N", "8.0"), ("embedding_kind", "learned"),
+    ])
+    def test_bad_values_rejected(self, key, value):
+        with pytest.raises(storage.StorageError, match=key):
+            ModelConfig.from_dict({key: value})
+
 
 class TestEncoder:
     def test_paper_scale_shape(self):
@@ -81,8 +89,8 @@ class TestEncoder:
         model = AttentiveAlignmentModel(cfg)
         rng = np.random.default_rng(1)
         h = np.abs(rng.standard_normal((2, cfg.N, cfg.H, cfg.W)))
-        z, _ = conv2d_forward(h, model.enc_w.value, model.enc_b.value)
-        zn, _ = model.enc_bn.forward(z, "train", update_stats=False)
+        z, _ = conv2d_forward(h, model.encoder.w.value, model.encoder.b.value)
+        zn, _ = model.encoder.bn.forward(z, "train", update_stats=False)
         ref, _ = relu_forward(zn)
         # drive the same tensors through the model's forward path
         c = np.zeros((2, cfg.H * cfg.W, cfg.H, cfg.W))
@@ -92,8 +100,8 @@ class TestEncoder:
             np.maximum(model.bank.bias.value, 0.0)[None, :, None, None],
             (2, cfg.N, cfg.H, cfg.W),
         )
-        z0, _ = conv2d_forward(h_zero, model.enc_w.value, model.enc_b.value)
-        zn0, _ = model.enc_bn.forward(z0, "train", update_stats=False)
+        z0, _ = conv2d_forward(h_zero, model.encoder.w.value, model.encoder.b.value)
+        zn0, _ = model.encoder.bn.forward(z0, "train", update_stats=False)
         ref0, _ = relu_forward(zn0)
         assert np.allclose(model._cache["F"], ref0, atol=1e-12)
         assert ref.shape == (2, cfg.encoder_channels, cfg.Hh, cfg.Wh)

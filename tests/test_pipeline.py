@@ -217,6 +217,20 @@ class TestTrainConfig:
         with pytest.raises(storage.StorageError):
             TrainConfig.from_dict({"momentum": "0.9"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", "4x8"), ("batch_size", "2.5"), ("learning_rate", "fast"),
+    ])
+    def test_bad_values_rejected(self, key, value):
+        with pytest.raises(storage.StorageError, match=key):
+            TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("overrides", [
+        dict(feature_h=5), dict(feature_w=6), dict(feature_h=4, feature_w=4),
+    ])
+    def test_feature_grid_checked(self, overrides):
+        with pytest.raises(ValueError):
+            TrainConfig(**overrides)
+
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
