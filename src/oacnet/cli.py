@@ -67,9 +67,10 @@ def cmd_check_equiv(args):
         print(f"error: --dims must look like 4x4x2, got {args.dims!r}", file=sys.stderr)
         return 1
     _print_config(args, {"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
+    bounds = {"output": 1e-10, "weight-gradient": 1e-8, "bias-gradient": 1e-12,
+              "input-gradient": 1e-10}
+    worst = dict.fromkeys(bounds, 0.0)
     rng = np.random.default_rng(args.seed)
-    worst_out = 0.0
-    worst_grad = 0.0
     for _ in range(args.trials):
         f_src = np.abs(rng.standard_normal((3, H, W)))
         f_trg = np.abs(rng.standard_normal((3, H, W)))
@@ -84,19 +85,20 @@ def cmd_check_equiv(args):
         else:
             h1, cache1 = corr.oac_forward_direct(c, bank)
             h2, cache2 = corr.oac_forward_reordered(c, bank)
-        worst_out = max(worst_out, float(np.abs(h1 - h2).max()))
         g = rng.standard_normal(h1.shape)
-        for p in bank.parameters():
-            p.zero_grad()
-        corr.oac_backward_direct(cache1, bank, g)
-        gw1 = bank.weights.grad.copy()
-        for p in bank.parameters():
-            p.zero_grad()
-        corr.oac_backward_reordered(cache2, bank, g)
-        worst_grad = max(worst_grad, float(np.abs(gw1 - bank.weights.grad).max()))
-    print(f"max output deviation over {args.trials} trials: {worst_out:.3e}")
-    print(f"max weight-gradient deviation: {worst_grad:.3e}")
-    ok = worst_out <= 1e-10 and worst_grad <= 1e-8
+        results = []
+        for h, cache, backward in ((h1, cache1, corr.oac_backward_direct),
+                                   (h2, cache2, corr.oac_backward_reordered)):
+            for p in bank.parameters():
+                p.zero_grad()
+            dc = backward(cache, bank, g)
+            results.append((h, bank.weights.grad.copy(), bank.bias.grad.copy(), dc))
+        for key, a, b in zip(bounds, *results):
+            worst[key] = max(worst[key], float(np.abs(a - b).max()))
+    print(f"max output deviation over {args.trials} trials: {worst['output']:.3e}")
+    for key in list(bounds)[1:]:
+        print(f"max {key} deviation: {worst[key]:.3e}")
+    ok = all(worst[key] <= bound for key, bound in bounds.items())
     print("PASS" if ok else "FAIL")
     return 0 if ok else 2
 
@@ -111,20 +113,28 @@ def cmd_bench(args):
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((H * W, H, W))
     bank = corr.OacKernelBank(N, H, W, rng=rng)
+    g = rng.standard_normal((N, H, W))
     report = {}
-    for path, fn in (("direct", corr.oac_forward_direct), ("reordered", corr.oac_forward_reordered)):
+    for path, fwd, bwd in (
+        ("direct", corr.oac_forward_direct, corr.oac_backward_direct),
+        ("reordered", corr.oac_forward_reordered, corr.oac_backward_reordered),
+    ):
         counter = corr.MultiplyCounter()
-        fn(c, bank, counter)
+        _, cache = fwd(c, bank, counter)
         per_call = counter.total
         t0 = time.perf_counter()
         for _ in range(args.repeats):
-            fn(c, bank)
-        elapsed = (time.perf_counter() - t0) / args.repeats
+            fwd(c, bank)
+        t1 = time.perf_counter()
+        for _ in range(args.repeats):
+            bwd(cache, bank, g)
+        fwd_s = (t1 - t0) / args.repeats
+        bwd_s = (time.perf_counter() - t1) / args.repeats
         formula = corr.count_multiplications(H, W, N, path)
-        report[path] = (formula, per_call, elapsed)
+        report[path] = (formula, per_call, fwd_s, bwd_s)
         print(
             f"{path:9s}: formula {formula:,} multiplies, instrumented {per_call:,}, "
-            f"{elapsed * 1e3:.2f} ms/call"
+            f"forward {fwd_s * 1e3:.2f} ms/call, backward {bwd_s * 1e3:.2f} ms/call"
         )
         if per_call != formula:
             print(f"error: instrumented count diverges from formula on {path} path", file=sys.stderr)

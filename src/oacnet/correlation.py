@@ -10,17 +10,18 @@ Layout conventions:
   * kernel bank weights: (N, 2H-1, 2W-1) with w[n, s + H - 1, t + W - 1]
     multiplying every correlation whose source-minus-target offset is (s, t).
 
-The direct path applies kernel weights by offset during the summation; the
-reordered path materializes the offset-indexed volume and runs a dense 1x1
-convolution over it. The reordered path deliberately keeps the dense model
-(including multiplies by structural zeros) so it can serve as the slow oracle
-and the cost-model foil.
+The direct path applies kernel weights by offset during the summation: one GEMM
+per source location (i, j) against the (H, W, N) window of the bank flipped and
+laid out channels-last, which holds exactly the weights that location's targets
+need. The reordered path materializes the offset-indexed volume and runs a
+dense 1x1 convolution over it. It deliberately keeps the dense model (including
+multiplies by structural zeros) so it can serve as the slow oracle and the
+cost-model foil.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Parameter, ShapeError, assert_finite, he_uniform
 
@@ -158,54 +159,64 @@ def _as_batched(c):
     return (c[None], True) if c.ndim == 3 else (c, False)
 
 
+def _windows(bank, H, W):
+    """Per source location (i, j), row-major: i*W+j, a window slice of the bank
+    flipped in both offset axes and laid out channels-last, (2H-1, 2W-1, N),
+    and the weights under it as an (HW, N) matrix in one reused buffer. Row
+    k*W+l of that matrix is w[:, i-k+H-1, j-l+W-1]: the offset index as a slice."""
+    fw = np.ascontiguousarray(bank.weights.value[:, ::-1, ::-1].transpose(1, 2, 0))
+    buf = np.empty((H, W, bank.N))
+    for i in range(H):
+        for j in range(W):
+            win = (slice(H - 1 - i, 2 * H - 1 - i), slice(W - 1 - j, 2 * W - 1 - j))
+            np.copyto(buf, fw[win])
+            yield i * W + j, win, buf.reshape(H * W, bank.N)
+
+
 def oac_forward_direct(c, bank, counter=None):
     """Offset-aligned weighted sum over all correlations, plus bias and ReLU.
 
-    h[b,n,i,j] = relu(bias_n + sum_{k,l} w[n, i-k, j-l] * c[b, k*W+l, i, j]).
+    h[b,n,i,j] = relu(bias_n + sum_{k,l} w[n, i-k, j-l] * c[b, k*W+l, i, j]),
+    as one (B, HW) x (HW, N) GEMM per source location (i, j) between that
+    location's correlations and the window of the flipped, channels-last bank.
     """
     c, single = _as_batched(c)
     B, HW, H, W = c.shape
     bank.check_dims(H, W)
-    w = bank.weights.value
-    c4 = c.reshape(B, H, W, H, W)  # [b, k, l, i, j]
-    fw = w[:, ::-1, ::-1]
-    win = sliding_window_view(fw, (H, W), axis=(1, 2))  # win[n,a,b,k,l] = fw[n,a+k,b+l]
-    cf = c4[:, :, :, ::-1, ::-1]  # cf[z,k,l,a,b] = c4[z,k,l,H-1-a,W-1-b]
-    t = np.einsum("nabkl,zklab->znab", win, cf, optimize=True)
+    C = np.ascontiguousarray(c.reshape(B, HW, HW).transpose(2, 0, 1))  # [ij, b, kl]
+    t = np.empty((HW, B, bank.N))
+    for ij, _, window in _windows(bank, H, W):
+        np.matmul(C[ij], window, out=t[ij])
     if counter is not None:
         counter.add(B * bank.N * H * W * H * W)
-    pre = t[:, :, ::-1, ::-1]
+    pre = np.ascontiguousarray(t.reshape(H, W, B, bank.N).transpose(2, 3, 0, 1))
     if bank.use_bias:
-        pre = pre + bank.bias.value[None, :, None, None]
+        pre += bank.bias.value[None, :, None, None]
     h = np.maximum(pre, 0.0)
     assert_finite(h, "displacement map")
-    cache = (c4, pre, win)
-    return (h[0] if single else h), cache
+    return (h[0] if single else h), (C, pre)
 
 
 def oac_backward_direct(cache, bank, grad_h):
     """Exact gradients of the direct formulation; returns grad for the raw map
     and accumulates into the bank's parameters."""
-    c4, pre, win = cache
+    C, pre = cache
     if grad_h.ndim == 3:
         grad_h = grad_h[None]
     B, N, H, W = grad_h.shape
     dpre = grad_h * (pre > 0.0)
     if bank.use_bias:
         bank.bias.grad += dpre.sum(axis=(0, 2, 3))
-    dpre_f = dpre[:, :, ::-1, ::-1]
-    cf = c4[:, :, :, ::-1, ::-1]
-    # weight gradient: accumulate each window contribution back into offset space
-    dwin = np.einsum("znab,zklab->nabkl", dpre_f, cf, optimize=True)
-    dfw = np.zeros_like(bank.weights.value)
-    for a in range(H):
-        for b in range(W):
-            dfw[:, a : a + H, b : b + W] += dwin[:, a, b]
-    bank.weights.grad += dfw[:, ::-1, ::-1]
-    # input gradient
-    dcf = np.einsum("nabkl,znab->zklab", win, dpre_f, optimize=True)
-    dc4 = dcf[:, :, :, ::-1, ::-1]
-    return dc4.reshape(B, H * W, H, W)
+    D = np.ascontiguousarray(dpre.transpose(2, 3, 0, 1)).reshape(H * W, B, N)  # [ij, b, n]
+    dC = np.empty_like(C)
+    dfw = np.zeros((2 * H - 1, 2 * W - 1, N))
+    dwin = np.empty((H * W, N))
+    for ij, win, window in _windows(bank, H, W):
+        np.matmul(D[ij], window.T, out=dC[ij])
+        np.matmul(C[ij].T, D[ij], out=dwin)
+        dfw[win] += dwin.reshape(H, W, N)
+    bank.weights.grad += dfw[::-1, ::-1].transpose(2, 0, 1)
+    return np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, H * W, H, W)
 
 
 def oac_forward_reordered(c, bank, counter=None):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 import typing
@@ -30,19 +31,25 @@ def save_tensor(path, array):
         f.write(arr.astype("<f8").tobytes())
 
 
+def _read_exact(f, path, n, what):
+    """Read n bytes, after checking the file still holds them (so a corrupt
+    size is refused before anything is allocated)."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise StorageError(f"{path}: truncated {what}: needs {n} bytes, {left} left")
+    return f.read(n)
+
+
 def load_tensor(path):
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
             raise StorageError(f"{path}: bad magic {magic!r}")
-        version, rank = struct.unpack("<II", f.read(8))
+        version, rank = struct.unpack("<II", _read_exact(f, path, 8, "header"))
         if version != FORMAT_VERSION:
             raise StorageError(f"{path}: unsupported format version {version}")
-        dims = [struct.unpack("<Q", f.read(8))[0] for _ in range(rank)]
-        count = int(np.prod(dims)) if dims else 1
-        payload = f.read(8 * count)
-        if len(payload) != 8 * count:
-            raise StorageError(f"{path}: truncated payload")
+        dims = struct.unpack(f"<{rank}Q", _read_exact(f, path, 8 * rank, "dims"))
+        payload = _read_exact(f, path, 8 * math.prod(dims), "payload")
         data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(dims)
 
@@ -190,18 +197,26 @@ def load_image(path):
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos >= len(data):
+            raise StorageError(f"{path}: truncated header: {len(tokens)} of 4 fields")
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise StorageError(f"{path}: unsupported image magic {magic!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise StorageError(f"{path}: bad header fields {b' '.join(tokens[1:])!r}")
+    w, h, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise StorageError(f"{path}: only maxval 255 supported")
     channels = 1 if magic == b"P5" else 3
-    raw = np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=pos)
+    need, have = w * h * channels, max(len(data) - pos, 0)
+    if have < need:
+        raise StorageError(f"{path}: truncated pixel data: expected {need} bytes, got {have}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     img = raw.reshape(h, w, channels).astype(np.float64) / 255.0
     return np.moveaxis(img, -1, 0)
 

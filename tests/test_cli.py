@@ -2,6 +2,7 @@
 and printed reports."""
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +126,12 @@ class TestCheckEquivCommand:
         assert main(["check-equiv", "--dims", "4x4x2", "--trials", "100"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_reports_every_gradient(self, capsys):
+        assert main(["check-equiv", "--dims", "3x5x2", "--trials", "5"]) == 0
+        out = capsys.readouterr().out
+        for name in ("output", "weight-gradient", "bias-gradient", "input-gradient"):
+            assert f"max {name} deviation" in out
+
     def test_degenerate_dims_pass(self, capsys):
         assert main(["check-equiv", "--dims", "1x1x1", "--trials", "5"]) == 0
 
@@ -166,6 +173,14 @@ class TestBenchCommand:
 
     def test_bad_dims_exits_1(self, capsys):
         assert main(["bench", "--dims", "x"]) == 1
+
+    def test_times_forward_and_backward(self, capsys):
+        assert main(["bench", "--dims", "4x5x2", "--repeats", "1"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "formula" in line]
+        assert len(lines) == 2
+        for line in lines:
+            assert "forward " in line and "backward " in line
+            assert line.count("ms/call") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +258,18 @@ class TestEvalCommand:
                      "--theta-file", str(tmp_path / "theta.oact")]) == 1
         assert_one_line_error(capsys, "6 or 18 values")
 
+    @pytest.mark.parametrize("blob,fragment", [
+        (b"OACT\x01\x00", "truncated header"),
+        # rank 1, dims claim 1000 values, file holds one
+        (b"OACT" + struct.pack("<IIQd", 1, 1, 1000, 0.0), "truncated payload"),
+    ])
+    def test_truncated_theta_file_exits_1(self, blob, fragment, tmp_path, capsys):
+        theta = tmp_path / "theta.oact"
+        theta.write_bytes(blob)
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        assert main(["eval", "--keypoints-csv", csv, "--theta-file", str(theta)]) == 1
+        assert_one_line_error(capsys, str(theta), fragment)
+
     def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
         manifest = run / "checkpoint" / "manifest.txt"
@@ -315,6 +342,20 @@ class TestWarpCommand:
         rows = [[float(v) for v in line.split(",")]
                 for line in attn_csv.read_text().splitlines()]
         assert abs(sum(sum(r) for r in rows) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("blob,fragment", [
+        (b"", "truncated header"),
+        (b"P5\n4 4\n255\n\x00\x01", "expected 16 bytes, got 2"),
+        (b"P5\nfour 4\n255\n" + bytes(16), "bad header fields"),
+    ])
+    def test_truncated_image_exits_1(self, blob, fragment, tmp_path, capsys):
+        image = tmp_path / "in.pgm"
+        image.write_bytes(blob)
+        storage.save_tensor(str(tmp_path / "theta.oact"), geometry.identity_vector("affine"))
+        assert main(["warp", "--image", str(image), "--theta-file",
+                     str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
+        assert_one_line_error(capsys, str(image), fragment)
+        assert not (tmp_path / "o.pgm").exists()
 
     def test_unreadable_image_exits_1(self, tmp_path, capsys):
         assert main(["warp", "--image", str(tmp_path / "nope.pgm"),

@@ -343,6 +343,44 @@ class TestOacBackward:
         assert np.max(np.abs(grads[0][1] - grads[1][1])) < 1e-12
         assert np.max(np.abs(grads[0][2] - grads[1][2])) < 1e-10
 
+    @pytest.mark.parametrize("H,W", [(3, 5), (5, 2), (7, 7)])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_batched_non_square_paths_agree(self, H, W, N):
+        B = 3
+        rng = np.random.default_rng(100 * H + 10 * W + N)
+        c = rng.standard_normal((B, H * W, H, W))
+        proj = rng.standard_normal((B, N, H, W))
+        results = []
+        for fwd, bwd in [(oac_forward_direct, oac_backward_direct),
+                         (oac_forward_reordered, oac_backward_reordered)]:
+            bank = random_bank(N, H, W, seed=21)
+            bank.bias.value[...] = np.linspace(-0.3, 0.3, N)
+            h, cache = fwd(c, bank)
+            dc = bwd(cache, bank, proj)
+            results.append((h, bank.weights.grad.copy(), bank.bias.grad.copy(), dc))
+        (hd, gwd, gbd, dcd), (hr, gwr, gbr, dcr) = results
+        assert hd.shape == (B, N, H, W) and dcd.shape == c.shape
+        assert np.max(np.abs(hd - hr)) <= 1e-10
+        assert np.max(np.abs(gwd - gwr)) <= 1e-8
+        assert np.max(np.abs(gbd - gbr)) <= 1e-12
+        assert np.max(np.abs(dcd - dcr)) <= 1e-10
+
+        # a second backward accumulates rather than overwrites
+        bank = random_bank(N, H, W, seed=21)
+        _, cache = oac_forward_direct(c, bank)
+        oac_backward_direct(cache, bank, proj)
+        once = bank.weights.grad.copy()
+        oac_backward_direct(cache, bank, proj)
+        assert np.allclose(bank.weights.grad, 2 * once, rtol=0, atol=1e-12)
+
+        # an unbatched map gives the B=1 row of the batched result
+        h1, cache1 = oac_forward_direct(c[1], bank)
+        hb, cacheb = oac_forward_direct(c[1:2], bank)
+        assert h1.shape == (N, H, W)
+        assert np.array_equal(h1, hb[0])
+        assert np.array_equal(oac_backward_direct(cache1, bank, proj[1]),
+                              oac_backward_direct(cacheb, bank, proj[1:2]))
+
 
 # ---------------------------------------------------------------------------
 # multiplication counting
