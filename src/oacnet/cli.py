@@ -311,6 +311,9 @@ def main(argv=None):
         # malformed or missing input: one line, not a traceback
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (NumericError, pipeline.DivergenceError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ cost-model foil.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import Parameter, ShapeError, assert_finite, he_uniform
@@ -66,8 +68,9 @@ def correlation_map(f_src, f_trg):
     if f_src.shape != f_trg.shape:
         raise ShapeError(f"feature shapes differ: {f_src.shape} vs {f_trg.shape}")
     B, D, H, W = f_src.shape
-    c = np.einsum("bdij,bdkl->bklij", f_src, f_trg, optimize=True)
-    c = c.reshape(B, H * W, H, W)
+    # per sample, (target locations, D) @ (D, source locations)
+    trg = f_trg.transpose(0, 2, 3, 1).reshape(B, H * W, D)
+    c = (trg @ f_src.reshape(B, D, H * W)).reshape(B, H * W, H, W)
     assert_finite(c, "correlation map")
     return c[0] if single else c
 
@@ -83,34 +86,48 @@ def normalize_correlation(c, epsilon=1e-8):
     return out[0] if single else out
 
 
+@functools.lru_cache(maxsize=None)
 def _offset_index_arrays(H, W):
+    """Read-only flat indices between one sample's raw map (H*W, H, W) and its
+    reordered map laid out channels-last, (H, W, n_off), both row-major:
+
+    * gather[(i*W + j)*n_off + o]: the raw entry that offset o at source
+      (i, j) holds; clipped into range where the offset pairs (i, j) with no
+      target, which is where valid is False;
+    * scatter[raw entry]: the reordered entry holding it (each raw entry has
+      exactly one offset)."""
     n_off = (2 * H - 1) * (2 * W - 1)
     s = np.arange(-(H - 1), H)
     t = np.arange(-(W - 1), W)
     S, T = np.meshgrid(s, t, indexing="ij")
-    S = S.reshape(n_off, 1, 1)
-    T = T.reshape(n_off, 1, 1)
-    ii = np.arange(H).reshape(1, H, 1)
-    jj = np.arange(W).reshape(1, 1, W)
-    k = ii - S
-    l = jj - T
-    valid = (k >= 0) & (k < H) & (l >= 0) & (l < W)
+    ii = np.arange(H).reshape(H, 1, 1)
+    jj = np.arange(W).reshape(1, W, 1)
+    k = ii - S.reshape(1, 1, n_off)
+    l = jj - T.reshape(1, 1, n_off)
+    valid = ((k >= 0) & (k < H) & (l >= 0) & (l < W)).reshape(-1)
     chan = np.clip(k, 0, H - 1) * W + np.clip(l, 0, W - 1)
-    return chan, valid
+    gather = (chan * (H * W) + ii * W + jj).reshape(-1)
+    scatter = np.empty(H * W * H * W, dtype=np.int64)
+    scatter[gather[valid]] = np.flatnonzero(valid)
+    for arr in (gather, valid, scatter):
+        arr.flags.writeable = False
+    return gather, valid, scatter
 
 
 def reorder_by_offset(c):
-    """Re-lay the correlation volume so each channel holds one offset."""
+    """Re-lay the correlation volume so each channel holds one offset.
+
+    The result is a (B, n_off, H, W) view of channels-last memory."""
     single = c.ndim == 3
     if single:
         c = c[None]
     B, HW, H, W = c.shape
     if HW != H * W:
         raise ShapeError(f"channel count {HW} != H*W = {H * W}")
-    chan, valid = _offset_index_arrays(H, W)
-    ii = np.broadcast_to(np.arange(H).reshape(1, H, 1), chan.shape)
-    jj = np.broadcast_to(np.arange(W).reshape(1, 1, W), chan.shape)
-    r = np.where(valid[None], c[:, chan, ii, jj], 0.0)
+    gather, valid, _ = _offset_index_arrays(H, W)
+    r = np.take(c.reshape(B, -1), gather, axis=1)
+    np.copyto(r, 0.0, where=~valid)
+    r = r.reshape(B, H, W, -1).transpose(0, 3, 1, 2)
     return r[0] if single else r
 
 
@@ -123,10 +140,9 @@ def inverse_reorder(r, H, W):
     if single:
         r = r[None]
     B = r.shape[0]
-    chan, valid = _offset_index_arrays(H, W)
-    c = np.zeros((B, H * W, H, W))
-    off_idx, i_idx, j_idx = np.nonzero(valid)
-    c[:, chan[off_idx, i_idx, j_idx], i_idx, j_idx] = r[:, off_idx, i_idx, j_idx]
+    _, _, scatter = _offset_index_arrays(H, W)
+    c = np.take(r.transpose(0, 2, 3, 1).reshape(B, -1), scatter, axis=1)
+    c = c.reshape(B, H * W, H, W)
     return c[0] if single else c
 
 
@@ -225,8 +241,10 @@ def oac_forward_reordered(c, bank, counter=None):
     B, HW, H, W = c.shape
     bank.check_dims(H, W)
     r = reorder_by_offset(c)
+    # (B*H*W, n_off) @ w_flat.T, the first operand a view of r's memory
     w_flat = bank.weights.value.reshape(bank.N, -1)
-    pre = np.einsum("nc,bcij->bnij", w_flat, r, optimize=True)
+    pre = r.transpose(0, 2, 3, 1).reshape(B * H * W, -1) @ w_flat.T
+    pre = pre.reshape(B, H, W, bank.N).transpose(0, 3, 1, 2)
     if counter is not None:
         counter.add(B * bank.N * (2 * H - 1) * (2 * W - 1) * H * W)
     if bank.use_bias:
@@ -244,13 +262,12 @@ def oac_backward_reordered(cache, bank, grad_h):
     dpre = grad_h * (pre > 0.0)
     if bank.use_bias:
         bank.bias.grad += dpre.sum(axis=(0, 2, 3))
-    n_off = (2 * H - 1) * (2 * W - 1)
-    bank.weights.grad += np.einsum("bnij,bcij->nc", dpre, r, optimize=True).reshape(
-        bank.N, 2 * H - 1, 2 * W - 1
-    )
-    w_flat = bank.weights.value.reshape(bank.N, n_off)
-    dr = np.einsum("nc,bnij->bcij", w_flat, dpre, optimize=True)
-    return inverse_reorder(dr, H, W)
+    B, N = dpre.shape[:2]
+    d = dpre.transpose(0, 2, 3, 1).reshape(B * H * W, N)
+    r_t = r.transpose(1, 0, 2, 3).reshape(-1, B * H * W)
+    bank.weights.grad += (r_t @ d).T.reshape(N, 2 * H - 1, 2 * W - 1)
+    dr = d @ bank.weights.value.reshape(N, -1)
+    return inverse_reorder(dr.reshape(B, H, W, -1).transpose(0, 3, 1, 2), H, W)
 
 
 def dump_kernel_sheets(bank, out_dir, prefix="kernel"):

@@ -8,6 +8,8 @@ in the library shares this frame.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import NumericError, ShapeError, assert_finite
@@ -266,57 +268,98 @@ def _reflect_index(idx, n):
     return np.where(idx >= n, period - idx, idx)
 
 
+@functools.lru_cache(maxsize=16)
+def _padded_axis(n, pad):
+    """Read-only map from each index of a length-n axis reflect-padded by
+    `pad` on both sides (mirror_pad's layout) to the pixel it holds."""
+    idx = _reflect_index(np.arange(-pad, n + pad), n)
+    idx.flags.writeable = False
+    return idx
+
+
+def _fold(idx, n, pad):
+    """The pixel that index `idx` of the padded axis reads, as when sampling
+    mirror_pad's output: indices past the padded axis reflect back into it
+    first. Equals _reflect_index(_reflect_index(idx, n + 2*pad) - pad, n)."""
+    return _padded_axis(n, pad)[_reflect_index(idx, n + 2 * pad)]
+
+
+def _sample_flat(image, pix, pad=0, snap_tol=1e-9):
+    """Bilinear samples (C, n) of a (C,H,W) image at pixel coords pix (2, n),
+    rows x then y, given in the frame of the image reflect-padded by `pad`.
+
+    The padded image is never built: each corner is one gather through flat
+    indices into the unpadded pixels, and the corners are blended in place
+    with the float operations of top*(1-fy) + bot*fy, where
+    top = v00*(1-fx) + v01*fx and bot = v10*(1-fx) + v11*fx.
+    """
+    C, H, W = image.shape
+    r = np.rint(pix)
+    pix = np.where(np.abs(pix - r) < snap_tol, r, pix)
+    lo = np.floor(pix).astype(np.int64)
+    fx, fy = pix - lo
+    x0, x1 = _fold(np.stack([lo[0], lo[0] + 1]), W, pad)
+    y0, y1 = _fold(np.stack([lo[1], lo[1] + 1]), H, pad) * W
+    flat = np.asarray(image, dtype=np.float64).reshape(C, H * W)
+    v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in (y0 + x0, y0 + x1, y1 + x0, y1 + x1))
+    gx = 1 - fx
+    v00 *= gx
+    v01 *= fx
+    v00 += v01
+    v10 *= gx
+    v11 *= fx
+    v10 += v11
+    v00 *= 1 - fy
+    v10 *= fy
+    v00 += v10
+    return v00
+
+
 def bilinear_sample(image, pix_x, pix_y, snap_tol=1e-9):
     """Sample (C,H,W) image at fractional pixel coords; reflection outside.
 
     Coordinates within snap_tol of an integer are snapped so that identity
     resampling is bit-exact.
     """
-    C, H, W = image.shape
-    rx = np.rint(pix_x)
-    ry = np.rint(pix_y)
-    pix_x = np.where(np.abs(pix_x - rx) < snap_tol, rx, pix_x)
-    pix_y = np.where(np.abs(pix_y - ry) < snap_tol, ry, pix_y)
-    x0 = np.floor(pix_x).astype(np.int64)
-    y0 = np.floor(pix_y).astype(np.int64)
-    fx = pix_x - x0
-    fy = pix_y - y0
-    x0r = _reflect_index(x0, W)
-    x1r = _reflect_index(x0 + 1, W)
-    y0r = _reflect_index(y0, H)
-    y1r = _reflect_index(y0 + 1, H)
-    v00 = image[:, y0r, x0r]
-    v01 = image[:, y0r, x1r]
-    v10 = image[:, y1r, x0r]
-    v11 = image[:, y1r, x1r]
-    top = v00 * (1 - fx) + v01 * fx
-    bot = v10 * (1 - fx) + v11 * fx
-    return top * (1 - fy) + bot * fy
+    pix = np.asarray(np.broadcast_arrays(pix_x, pix_y), dtype=np.float64)
+    out = _sample_flat(image, pix.reshape(2, -1), snap_tol=snap_tol)
+    return out.reshape(image.shape[:1] + pix.shape[1:])
+
+
+@functools.lru_cache(maxsize=16)
+def _crop_grid(H, W):
+    """Read-only (H*W, 2) normalized coordinates of every pixel center, row-major."""
+    xs = np.linspace(-1.0, 1.0, W)
+    ys = np.linspace(-1.0, 1.0, H)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    pts.flags.writeable = False
+    return pts
 
 
 def bilinear_warp(image, theta):
     """Output at normalized grid point g samples the input at T_theta(g)."""
     C, H, W = image.shape
-    xs = np.linspace(-1.0, 1.0, W)
-    ys = np.linspace(-1.0, 1.0, H)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    mapped = theta.transform(pts)
-    pix = denormalize_points(mapped, (H, W))
+    pix = denormalize_points(theta.transform(_crop_grid(H, W)), (H, W))
     out = bilinear_sample(image, pix[:, 0].reshape(H, W), pix[:, 1].reshape(H, W))
     return assert_finite(out, "warped image")
 
 
-def mirror_pad(image, pad):
+def _check_pad(image, pad):
     if pad < 1:
         raise ValueError("pad must be >= 1")
     if pad >= min(image.shape[1], image.shape[2]):
         raise ValueError("reflection pad must be smaller than the image")
+
+
+def mirror_pad(image, pad):
+    _check_pad(image, pad)
     return np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
 
-def max_border_displacement(theta, n_probe=41):
-    """Largest |T(g) - g| (per axis, normalized units) over the crop border."""
+@functools.lru_cache(maxsize=None)
+def _border_probe(n_probe):
+    """Read-only (4*n_probe, 2) points along the four edges of [-1,1]^2."""
     ts = np.linspace(-1.0, 1.0, n_probe)
     border = np.concatenate(
         [
@@ -326,19 +369,28 @@ def max_border_displacement(theta, n_probe=41):
             np.stack([np.full_like(ts, 1.0), ts], axis=1),
         ]
     )
-    mapped = theta.transform(border)
+    border.flags.writeable = False
+    return border
+
+
+def max_border_displacement(theta, n_probe=41):
+    """Largest |T(g) - g| (per axis, normalized units) over the crop border."""
+    mapped = theta.transform(_border_probe(n_probe))
     over = np.maximum(np.abs(mapped) - 1.0, 0.0)
     return float(over.max())
 
 
 def mirror_pad_center_crop(image, pad, theta):
-    """Reflect-pad, then produce (center crop, warp of padded image cropped back).
+    """(Source crop, target crop) of a training pair: the source is the image
+    itself; the target samples, at T(g) for every pixel center g of the crop,
+    the image as mirror_pad(image, pad) would extend it.
 
-    The transform acts in the crop's normalized frame; samples land in the
-    padded image. Raises when the transform can reach outside the padded extent.
+    The transform acts in the crop's normalized frame. The padded image is
+    never built: samples read the reflected pixels directly. Raises when the
+    transform can reach outside the padded extent.
     """
     C, H, W = image.shape
-    padded = mirror_pad(image, pad)
+    _check_pad(image, pad)
     # slack available beyond the crop, in crop-normalized units
     slack_x = 2.0 * pad / (W - 1)
     slack_y = 2.0 * pad / (H - 1)
@@ -348,17 +400,11 @@ def mirror_pad_center_crop(image, pad, theta):
             f"pad {pad} too small: transform exceeds crop frame by {excess:.4f}, "
             f"slack is {min(slack_x, slack_y):.4f}"
         )
-    source_crop = padded[:, pad : pad + H, pad : pad + W].copy()
-    xs = np.linspace(-1.0, 1.0, W)
-    ys = np.linspace(-1.0, 1.0, H)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    mapped = theta.transform(pts)
-    # crop-normalized -> padded-image pixel coords
-    pix_x = pad + (mapped[:, 0] + 1.0) * (W - 1) / 2.0
-    pix_y = pad + (mapped[:, 1] + 1.0) * (H - 1) / 2.0
-    target_crop = bilinear_sample(padded, pix_x.reshape(H, W), pix_y.reshape(H, W))
-    return source_crop, assert_finite(target_crop, "target crop")
+    mapped = theta.transform(_crop_grid(H, W)).T
+    # crop-normalized -> padded-image pixel coords, rows x then y
+    pix = pad + (mapped + 1.0) * np.array([[W - 1.0], [H - 1.0]]) / 2.0
+    target_crop = _sample_flat(image, pix, pad).reshape(C, H, W)
+    return image.copy(), assert_finite(target_crop, "target crop")
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,9 @@ class AttentiveAlignmentModel:
         g1a, g1_cache = self.g1.forward(g_in, mode, update_stats)
         g2a, g2_cache = self.g2.forward(g1a, mode, update_stats)  # (B, g_out, Hh, Wh)
 
-        tau = np.einsum("bdhw,bhw->bd", g2a, alpha[:, 0], optimize=True)
+        # sum over locations of g2a weighted by alpha, as one batched matmul
+        g2a_t = g2a.transpose(0, 2, 3, 1).reshape(B, cfg.Hh * cfg.Wh, cfg.g_out)
+        tau = (alpha.reshape(B, 1, -1) @ g2a_t).reshape(B, cfg.g_out)
         raw = tau @ self.head_w.value.T  # (B, Q)
         theta_vecs = raw + self.identity_offset[None, :]
 
@@ -219,7 +221,7 @@ class AttentiveAlignmentModel:
         dtau = dtheta @ self.head_w.value  # (B, g_out)
 
         dg2a = dtau[:, :, None, None] * alpha[:, 0][:, None]
-        dalpha = np.einsum("bdhw,bd->bhw", g2a, dtau, optimize=True)[:, None]
+        dalpha = (dtau[:, None, :] @ g2a.reshape(*dtau.shape, -1)).reshape(alpha.shape)
 
         # G branch
         dg_in = self.g1.backward(cache["g1"], self.g2.backward(cache["g2"], dg2a))

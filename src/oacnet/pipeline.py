@@ -56,10 +56,9 @@ class RandomProjectionProvider:
         if Hi != self.image_size or Wi != self.image_size:
             raise ShapeError(f"provider expects {self.image_size}^2 images, got {Hi}x{Wi}")
         patches = image.reshape(C, self.H, self.fy, self.W, self.fx)
-        patches = patches.transpose(1, 3, 0, 2, 4).reshape(self.H, self.W, -1)
-        feat = np.einsum("dp,hwp->dhw", self.projection, patches, optimize=True)
-        feat = np.maximum(feat, 0.0)
-        return l2_normalize_channels(feat)
+        patches = patches.transpose(1, 3, 0, 2, 4).reshape(self.H * self.W, -1)
+        feat = (patches @ self.projection.T).T.reshape(self.D, self.H, self.W)
+        return l2_normalize_channels(np.maximum(feat, 0.0))
 
 
 def import_feature_map(path):
@@ -213,16 +212,21 @@ def build_provider(config, channels=None):
     )
 
 
-def _make_batch(images, provider, config, rng, loss_grid):
+def _build_pairs(images, provider, config, rng, n):
+    """n (f_src, f_trg, theta_gt) triples. Per pair, rng draws the image index,
+    then the transform (sample_random_transform); nothing else draws from it."""
     pad = default_pad((config.image_size, config.image_size))
     batch = []
-    for _ in range(config.batch_size):
+    for _ in range(n):
         image = images[rng.integers(len(images))]
         pair = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
-        f_src = provider(pair.source)
-        f_trg = provider(pair.target)
-        batch.append((f_src, f_trg, pair.theta_gt))
+        batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
     return batch
+
+
+def _make_batch(images, provider, config, rng, loss_grid):
+    """One training batch; loss_grid is unused and kept for existing callers."""
+    return _build_pairs(images, provider, config, rng, config.batch_size)
 
 
 def batch_loss_and_grads(model, batch, loss_grid, mode="train", update_stats=None):
@@ -280,7 +284,8 @@ def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
             if over_budget_streak >= 100:
                 raise DivergenceError(
                     f"loss {loss:.4g} above 10x initial {initial_loss:.4g} "
-                    f"for {over_budget_streak} consecutive steps"
+                    f"for {over_budget_streak} consecutive steps; "
+                    f"last step within budget: {step - over_budget_streak}"
                 )
         else:
             over_budget_streak = 0
@@ -288,12 +293,7 @@ def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
             log_fn(step, loss)
 
     val_rng = np.random.default_rng(config.seed + 1)
-    val_batch = []
-    pad = default_pad((config.image_size, config.image_size))
-    for _ in range(max(32, config.batch_size)):
-        image = val_images[val_rng.integers(len(val_images))]
-        pair = generate_pair(image, config.family, pad, val_rng, grid_n=config.tps_grid)
-        val_batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
+    val_batch = _build_pairs(val_images, provider, config, val_rng, max(32, config.batch_size))
     return model, history, val_batch
 
 

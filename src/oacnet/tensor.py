@@ -2,6 +2,9 @@
 finite-difference checking, and ADAM.
 
 All arrays are float64, row-major. Every op validates its output for NaN/Inf.
+Contractions are written as the matmul, operand order and memory layouts
+included, that numpy's einsum(..., optimize=True) calls for them: results are
+bit-equal to that formulation, without its path planning on every call.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
@@ -94,7 +97,9 @@ def conv2d_forward(x, w, b, padding=0):
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
-    out = np.einsum("bchwij,ocij->bohw", cols, w, optimize=True)
+    # (Cout, Cin*k*k) @ (Cin*k*k, B*Ho*Wo)
+    cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, B * Ho * Wo)
+    out = (w.reshape(cout, -1) @ cols).reshape(cout, B, Ho, Wo).transpose(1, 0, 2, 3)
     out += b[None, :, None, None]
     assert_finite(out, "conv2d output")
     return out, (x, w, padding, (B, cin, H, W))
@@ -105,14 +110,22 @@ def conv2d_backward(cache, gout):
     cout, cin, k, _ = w.shape
     B, _, Ho, Wo = gout.shape
     cols = sliding_window_view(x_pad, (k, k), axis=(2, 3))
-    gw = np.einsum("bchwij,bohw->ocij", cols, gout, optimize=True)
+    g = gout.transpose(1, 0, 2, 3).reshape(cout, B * Ho * Wo)
+    gw = (g @ cols.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, -1)).reshape(w.shape)
     gb = gout.sum(axis=(0, 2, 3))
-    gx_pad = np.zeros_like(x_pad)
+    # per tap (i, j), in order: w[:, :, i, j].T @ g into one reused buffer,
+    # added into the shifted window of an accumulator laid out (H, W, Cin, B)
+    # so that each add runs over Cin*B values rather than Wo
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # k, k, Cin, Cout
+    acc = np.zeros(x_pad.shape[2:] + (cin, B))
+    tap = np.empty((cin, B * Ho * Wo))
+    tap_hwcb = tap.reshape(cin, B, Ho, Wo).transpose(2, 3, 0, 1)
     for i in range(k):
         for j in range(k):
-            gx_pad[:, :, i : i + Ho, j : j + Wo] += np.einsum(
-                "bohw,oc->bchw", gout, w[:, :, i, j], optimize=True
-            )
+            np.matmul(w_taps[i, j], g, out=tap)
+            acc[i : i + Ho, j : j + Wo] += tap_hwcb
+    gx_pad = np.empty_like(x_pad)  # x_pad's memory layout, which later reductions follow
+    gx_pad[...] = acc.transpose(3, 2, 0, 1)
     if padding:
         gx = gx_pad[:, :, padding:-padding, padding:-padding]
     else:
@@ -225,13 +238,20 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**t)
-            v_hat = self.v[i] / (1 - self.beta2**t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; in place, same rounding
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            step = m / (1 - self.beta1**t)
+            denom = v / (1 - self.beta2**t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step *= self.lr
+            step /= denom
+            p.value -= step
             assert_finite(p.value, f"parameter {p.name} after ADAM step")
             p.zero_grad()
 

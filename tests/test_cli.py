@@ -330,6 +330,16 @@ class TestWarpCommand:
         assert main(["warp", "--image", src, "--theta-file",
                      str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
 
+    def test_non_finite_warp_exits_2(self, tmp_path, capsys):
+        src, _ = save_ramp(tmp_path / "in.pgm")
+        storage.save_tensor(str(tmp_path / "theta.oact"), np.full(6, 1e300))
+        with np.errstate(all="ignore"):
+            code = main(["warp", "--image", src, "--theta-file",
+                         str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")])
+        assert code == 2
+        assert_one_line_error(capsys, "NaN/Inf")
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_checkpoint_mode_emits_files(self, trained_dir, tmp_path, capsys):
         src, _ = save_ramp(tmp_path / "in.pgm")
         out = tmp_path / "warped.pgm"

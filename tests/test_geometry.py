@@ -21,7 +21,7 @@ from oacnet.geometry import (
     tgd,
     tgd_value,
 )
-from oacnet.tensor import Parameter, grad_check
+from oacnet.tensor import NumericError, Parameter, grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,99 @@ class TestMirrorPadCenterCrop:
         big = AffineParams([1, 0, 0.9, 0, 1, 0.0])
         with pytest.raises(ValueError):
             mirror_pad_center_crop(img, 1, big)
+
+
+def _reference_pad_crop(image, pad, theta):
+    """mirror_pad_center_crop as a materialized reflect-pad followed by four
+    2-D corner gathers from the padded image."""
+    C, H, W = image.shape
+    padded = mirror_pad(image, pad)
+    xs = np.linspace(-1.0, 1.0, W)
+    ys = np.linspace(-1.0, 1.0, H)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    mapped = theta.transform(np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1))
+    pix_x = (pad + (mapped[:, 0] + 1.0) * (W - 1) / 2.0).reshape(H, W)
+    pix_y = (pad + (mapped[:, 1] + 1.0) * (H - 1) / 2.0).reshape(H, W)
+    rx, ry = np.rint(pix_x), np.rint(pix_y)
+    pix_x = np.where(np.abs(pix_x - rx) < 1e-9, rx, pix_x)
+    pix_y = np.where(np.abs(pix_y - ry) < 1e-9, ry, pix_y)
+    x0 = np.floor(pix_x).astype(np.int64)
+    y0 = np.floor(pix_y).astype(np.int64)
+    fx, fy = pix_x - x0, pix_y - y0
+    Hp, Wp = padded.shape[1:]
+    x0r, x1r = geometry._reflect_index(x0, Wp), geometry._reflect_index(x0 + 1, Wp)
+    y0r, y1r = geometry._reflect_index(y0, Hp), geometry._reflect_index(y0 + 1, Hp)
+    top = padded[:, y0r, x0r] * (1 - fx) + padded[:, y0r, x1r] * fx
+    bot = padded[:, y1r, x0r] * (1 - fx) + padded[:, y1r, x1r] * fx
+    return padded[:, pad : pad + H, pad : pad + W].copy(), top * (1 - fy) + bot * fy
+
+
+class TestSamplerEquivalence:
+    """The gather-based crop sampler is bit-equal to pad-then-sample."""
+
+    def _assert_equal_to_reference(self, img, pad, theta):
+        src, trg = mirror_pad_center_crop(img, pad, theta)
+        ref_src, ref_trg = _reference_pad_crop(img, pad, theta)
+        assert np.array_equal(src, ref_src)
+        assert np.array_equal(trg, ref_trg)
+
+    @pytest.mark.parametrize("family", ["affine", "tps"])
+    def test_random_draws(self, family):
+        rng = np.random.default_rng(13)
+        img = rng.uniform(0, 1, (3, 32, 32))
+        for _ in range(200):
+            theta = sample_random_transform(family, rng)
+            pad = int(np.ceil(max_border_displacement(theta) * 31 / 2.0 + 1e-9)) + 1
+            self._assert_equal_to_reference(img, min(max(pad, 8), 31), theta)
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (1, 12, 20)])
+    def test_transforms_at_the_pad_slack(self, shape):
+        # along the longer axis, a scale of 1 + slack maps the crop border onto
+        # the outermost padded pixels (index 0 and n-1+2*pad); a shift by the
+        # slack reaches one of them
+        img = np.random.default_rng(14).uniform(0, 1, shape)
+        _, H, W = shape
+        pad = 3
+        slack = 2.0 * pad / (max(H, W) - 1)
+        for theta in (
+            AffineParams([1 + slack, 0, 0, 0, 1 + slack, 0]),
+            AffineParams([1, 0, -slack, 0, 1, -slack]),
+            AffineParams([1, 0, slack, 0, 1, slack]),
+        ):
+            self._assert_equal_to_reference(img, pad, theta)
+
+    def test_interior_samples_past_the_padded_frame(self):
+        # a TPS bulge moves interior samples past the padded extent while the
+        # border stays within the slack; they reflect back into the padded frame
+        disp = np.zeros(50)
+        disp[2 * 5 + 3] = 1.2  # x displacement of the control at (0.5, 0)
+        img = np.random.default_rng(17).uniform(0, 1, (2, 16, 16))
+        self._assert_equal_to_reference(img, 3, TpsParams(disp, grid_n=5))
+
+    def test_snap_tolerance_coordinates(self):
+        img = np.random.default_rng(15).uniform(0, 1, (2, 16, 16))
+        one_px = 2.0 / 15
+        for eps in (0.0, 3e-11, -3e-11, 5e-10, -5e-10, 2e-9):
+            theta = AffineParams([1, 0, one_px + eps, 0, 1, -2 * one_px - eps])
+            self._assert_equal_to_reference(img, 4, theta)
+
+    def test_non_finite_transform_raises_numeric_error(self):
+        img = np.random.default_rng(16).uniform(0, 1, (1, 16, 16))
+        theta = AffineParams([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        theta.theta[2] = np.nan
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                mirror_pad_center_crop(img, 4, theta)
+            with pytest.raises(NumericError):
+                bilinear_warp(img, AffineParams([1e300] * 6))
+
+    def test_cached_grids_are_read_only(self):
+        probe = geometry._border_probe(41)
+        grid = geometry._crop_grid(8, 8)
+        for arr in (probe, grid):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5.0
+        assert probe.shape == (164, 2) and grid.shape == (64, 2)
 
 
 # ---------------------------------------------------------------------------

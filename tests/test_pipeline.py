@@ -18,7 +18,7 @@ from oacnet.pipeline import (
     make_procedural_image,
     train,
 )
-from oacnet.tensor import ShapeError
+from oacnet.tensor import ShapeError, l2_normalize_channels
 
 
 def small_config(**overrides):
@@ -202,6 +202,34 @@ class TestGeneratePair:
         assert min(vals) > 0.0
 
 
+class TestMakeBatch:
+    @pytest.mark.parametrize("family", ["affine", "tps"])
+    def test_rng_draw_order(self, family):
+        # per pair: the image index, then the transform; nothing else draws
+        config = small_config(batch_size=5, family=family)
+        images = build_corpus(config, np.random.default_rng(0))
+        provider = build_provider(config)
+        rng = np.random.default_rng(21)
+        batch = pipeline._make_batch(images, provider, config, rng, None)
+        ref = np.random.default_rng(21)
+        for _, _, theta_gt in batch:
+            ref.integers(len(images))
+            drawn = geometry.sample_random_transform(family, ref, grid_n=config.tps_grid)
+            assert np.array_equal(drawn.theta, theta_gt.theta)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_provider_gemm_bit_equals_einsum(self):
+        rng = np.random.default_rng(22)
+        for D, n, channels in ((16, 8, 16), (8, 4, 3)):
+            provider = RandomProjectionProvider(D, n, n, channels=channels, seed=5)
+            image = rng.uniform(0, 1, (channels, 32, 32))
+            patches = image.reshape(channels, n, 32 // n, n, 32 // n)
+            patches = patches.transpose(1, 3, 0, 2, 4).reshape(n, n, -1)
+            feat = np.einsum("dp,hwp->dhw", provider.projection, patches, optimize=True)
+            expected = l2_normalize_channels(np.maximum(feat, 0.0))
+            assert np.array_equal(provider(image), expected)
+
+
 # ---------------------------------------------------------------------------
 # TrainConfig
 
@@ -322,6 +350,19 @@ class TestTrain:
             train(config)
         # step 1 sets the reference, then 100 consecutive over-budget steps
         assert calls["n"] == 101
+
+    def test_divergence_message_names_last_healthy_step(self, monkeypatch):
+        config = small_config(epochs=1, steps_per_epoch=150)
+        calls = {"n": 0}
+
+        def late_explosion(model, batch, loss_grid, mode="train", update_stats=None):
+            calls["n"] += 1
+            return 0.1 if calls["n"] <= 7 else 100.0
+
+        monkeypatch.setattr(pipeline, "batch_loss_and_grads", late_explosion)
+        with pytest.raises(pipeline.DivergenceError, match="last step within budget: 7$"):
+            train(config)
+        assert calls["n"] == 107
 
     def test_divergence_guard_resets_on_recovery(self, monkeypatch):
         config = small_config(epochs=1, steps_per_epoch=160)
