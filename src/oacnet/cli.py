@@ -128,14 +128,20 @@ def cmd_bench(args):
         t1 = time.perf_counter()
         for _ in range(args.repeats):
             bwd(cache, bank, g)
+        t2 = time.perf_counter()
+        for _ in range(args.repeats):
+            bwd(cache, bank, g, input_grad=False)
         fwd_s = (t1 - t0) / args.repeats
-        bwd_s = (time.perf_counter() - t1) / args.repeats
+        bwd_s = (t2 - t1) / args.repeats
+        params_bwd_s = (time.perf_counter() - t2) / args.repeats
         formula = corr.count_multiplications(H, W, N, path)
         report[path] = (formula, per_call, fwd_s, bwd_s)
         print(
             f"{path:9s}: formula {formula:,} multiplies, instrumented {per_call:,}, "
             f"forward {fwd_s * 1e3:.2f} ms/call, backward {bwd_s * 1e3:.2f} ms/call"
         )
+        # what training pays: the feature extractor is frozen, so no map gradient
+        print(f"{path:9s}: parameters-only backward {params_bwd_s * 1e3:.2f} ms/call")
         if per_call != formula:
             print(f"error: instrumented count diverges from formula on {path} path", file=sys.stderr)
             return 2

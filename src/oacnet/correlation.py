@@ -17,6 +17,11 @@ need. The reordered path materializes the offset-indexed volume and runs a
 dense 1x1 convolution over it. It deliberately keeps the dense model (including
 multiplies by structural zeros) so it can serve as the slow oracle and the
 cost-model foil.
+
+Both backward passes take `input_grad`. With True (the default, used by the
+equivalence checks and the bench) they also return the gradient for the raw
+correlation map. Training passes False: the feature extractor is frozen, so
+nothing reads that gradient, and the backward stops at the bank's parameters.
 """
 
 from __future__ import annotations
@@ -175,18 +180,25 @@ def _as_batched(c):
     return (c[None], True) if c.ndim == 3 else (c, False)
 
 
-def _windows(bank, H, W):
-    """Per source location (i, j), row-major: i*W+j, a window slice of the bank
-    flipped in both offset axes and laid out channels-last, (2H-1, 2W-1, N),
-    and the weights under it as an (HW, N) matrix in one reused buffer. Row
-    k*W+l of that matrix is w[:, i-k+H-1, j-l+W-1]: the offset index as a slice."""
-    fw = np.ascontiguousarray(bank.weights.value[:, ::-1, ::-1].transpose(1, 2, 0))
-    buf = np.empty((H, W, bank.N))
+def _window_slices(H, W):
+    """Per source location (i, j), row-major: i*W+j and the (H, W) window of
+    the bank flipped in both offset axes, (2H-1, 2W-1), whose entry (k, l) is
+    the offset (i-k, j-l)."""
     for i in range(H):
         for j in range(W):
-            win = (slice(H - 1 - i, 2 * H - 1 - i), slice(W - 1 - j, 2 * W - 1 - j))
-            np.copyto(buf, fw[win])
-            yield i * W + j, win, buf.reshape(H * W, bank.N)
+            yield i * W + j, (slice(H - 1 - i, 2 * H - 1 - i), slice(W - 1 - j, 2 * W - 1 - j))
+
+
+def _windows(bank, H, W):
+    """Per source location: i*W+j and the weights under its window of the
+    flipped bank laid out channels-last, (2H-1, 2W-1, N), as an (HW, N) matrix
+    in one reused buffer. Row k*W+l of that matrix is w[:, i-k+H-1, j-l+W-1]:
+    the offset index as a slice."""
+    fw = np.ascontiguousarray(bank.weights.value[:, ::-1, ::-1].transpose(1, 2, 0))
+    buf = np.empty((H, W, bank.N))
+    for ij, win in _window_slices(H, W):
+        np.copyto(buf, fw[win])
+        yield ij, buf.reshape(H * W, bank.N)
 
 
 def oac_forward_direct(c, bank, counter=None):
@@ -201,7 +213,7 @@ def oac_forward_direct(c, bank, counter=None):
     bank.check_dims(H, W)
     C = np.ascontiguousarray(c.reshape(B, HW, HW).transpose(2, 0, 1))  # [ij, b, kl]
     t = np.empty((HW, B, bank.N))
-    for ij, _, window in _windows(bank, H, W):
+    for ij, window in _windows(bank, H, W):
         np.matmul(C[ij], window, out=t[ij])
     if counter is not None:
         counter.add(B * bank.N * H * W * H * W)
@@ -213,9 +225,10 @@ def oac_forward_direct(c, bank, counter=None):
     return (h[0] if single else h), (C, pre)
 
 
-def oac_backward_direct(cache, bank, grad_h):
-    """Exact gradients of the direct formulation; returns grad for the raw map
-    and accumulates into the bank's parameters."""
+def oac_backward_direct(cache, bank, grad_h, input_grad=True):
+    """Exact gradients of the direct formulation: accumulates into the bank's
+    parameters and returns the gradient for the raw map, or None when
+    input_grad is False (then no weight window is read)."""
     C, pre = cache
     if grad_h.ndim == 3:
         grad_h = grad_h[None]
@@ -224,14 +237,18 @@ def oac_backward_direct(cache, bank, grad_h):
     if bank.use_bias:
         bank.bias.grad += dpre.sum(axis=(0, 2, 3))
     D = np.ascontiguousarray(dpre.transpose(2, 3, 0, 1)).reshape(H * W, B, N)  # [ij, b, n]
-    dC = np.empty_like(C)
+    # the weight gradient sums C[ij].T @ D[ij] into each location's window
     dfw = np.zeros((2 * H - 1, 2 * W - 1, N))
     dwin = np.empty((H * W, N))
-    for ij, win, window in _windows(bank, H, W):
-        np.matmul(D[ij], window.T, out=dC[ij])
+    for ij, win in _window_slices(H, W):
         np.matmul(C[ij].T, D[ij], out=dwin)
         dfw[win] += dwin.reshape(H, W, N)
     bank.weights.grad += dfw[::-1, ::-1].transpose(2, 0, 1)
+    if not input_grad:
+        return None
+    dC = np.empty_like(C)
+    for ij, window in _windows(bank, H, W):
+        np.matmul(D[ij], window.T, out=dC[ij])
     return np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, H * W, H, W)
 
 
@@ -255,7 +272,10 @@ def oac_forward_reordered(c, bank, counter=None):
     return (h[0] if single else h), cache
 
 
-def oac_backward_reordered(cache, bank, grad_h):
+def oac_backward_reordered(cache, bank, grad_h, input_grad=True):
+    """Exact gradients of the reordered formulation: accumulates into the
+    bank's parameters and returns the gradient for the raw map, or None when
+    input_grad is False."""
     r, pre, (H, W) = cache
     if grad_h.ndim == 3:
         grad_h = grad_h[None]
@@ -266,6 +286,8 @@ def oac_backward_reordered(cache, bank, grad_h):
     d = dpre.transpose(0, 2, 3, 1).reshape(B * H * W, N)
     r_t = r.transpose(1, 0, 2, 3).reshape(-1, B * H * W)
     bank.weights.grad += (r_t @ d).T.reshape(N, 2 * H - 1, 2 * W - 1)
+    if not input_grad:
+        return None
     dr = d @ bank.weights.value.reshape(N, -1)
     return inverse_reorder(dr.reshape(B, H, W, -1).transpose(0, 3, 1, 2), H, W)
 

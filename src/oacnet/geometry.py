@@ -83,6 +83,7 @@ class _TpsSolver:
             self.L_inv = np.linalg.inv(L)
         except np.linalg.LinAlgError as e:  # unreachable with a regular lattice
             raise NumericError(f"singular TPS system for {grid_n}x{grid_n} lattice") from e
+        self._bases = {}
 
     @classmethod
     def get(cls, grid_n):
@@ -97,6 +98,22 @@ class _TpsSolver:
         d2 = np.sum((pts[:, None, :] - self.controls[None, :, :]) ** 2, axis=2)
         A = np.concatenate([_tps_radial(d2), np.ones((pts.shape[0], 1)), pts], axis=1)
         return A @ self.L_inv[:, :K]
+
+    def cached_basis(self, pts):
+        """basis(pts) as a read-only array, kept per point set when pts is a
+        read-only array owning its memory (the module's cached grids, whose
+        values cannot change); computed afresh for any other pts."""
+        if pts.flags.writeable or pts.base is not None:
+            return self.basis(pts)
+        # each entry holds its pts, so no other array can take that id meanwhile
+        hit = self._bases.get(id(pts))
+        if hit is None:
+            if len(self._bases) >= 64:
+                self._bases.clear()
+            B = self.basis(pts)
+            B.flags.writeable = False
+            hit = self._bases[id(pts)] = (pts, B)
+        return hit[1]
 
 
 class TpsParams:
@@ -129,14 +146,14 @@ class TpsParams:
         return _TpsSolver.get(self.grid_n).controls
 
     def transform(self, pts):
-        B = _TpsSolver.get(self.grid_n).basis(pts)
+        B = _TpsSolver.get(self.grid_n).cached_basis(pts)
         k = self.grid_n * self.grid_n
         dx = B @ self.theta[:k]
         dy = B @ self.theta[k:]
         return pts + np.stack([dx, dy], axis=1)
 
     def jacobian(self, pts):
-        B = _TpsSolver.get(self.grid_n).basis(pts)
+        B = _TpsSolver.get(self.grid_n).cached_basis(pts)
         n, k = B.shape
         J = np.zeros((n, 2, 2 * k))
         J[:, 0, :k] = B

@@ -56,6 +56,8 @@ class ModelConfig(storage.ConfigCodec):
     def __post_init__(self):
         if self.family not in ("affine", "tps"):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.tps_grid < 2:
+            raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
         if self.H < self.enc_kernel or self.W < self.enc_kernel:
             raise ShapeError(f"feature map {self.H}x{self.W} smaller than the encoder kernel")
 
@@ -175,6 +177,7 @@ class AttentiveAlignmentModel:
         if update_stats is None:
             update_stats = mode == "train"
         B = c.shape[0]
+        self._cache = None  # a previous forward's caches go before this one's layers allocate
 
         if cfg.oac_path == "direct":
             h, oac_cache = corr.oac_forward_direct(c, self.bank, self.counter)
@@ -200,21 +203,26 @@ class AttentiveAlignmentModel:
         raw = tau @ self.head_w.value.T  # (B, Q)
         theta_vecs = raw + self.identity_offset[None, :]
 
-        self._cache = dict(
-            oac=oac_cache, encoder=enc_cache, s1=s1_cache, s2=s2_cache, sm=sm_cache,
-            g1=g1_cache, g2=g2_cache, alpha=alpha, g2a=g2a, tau=tau, F=F,
-        )
+        self._cache = dict(alpha=alpha, g2a=g2a, tau=tau, F=F)
+        if mode == "train":
+            # only a train-mode forward is followed by backward; eval keeps
+            # the diagnostics alone, not the layer caches (im2col included)
+            self._cache.update(oac=oac_cache, encoder=enc_cache, s1=s1_cache, s2=s2_cache,
+                               sm=sm_cache, g1=g1_cache, g2=g2_cache)
         state = AttentionState(F=F, scores=scores, alpha=alpha, tau=tau)
         return theta_vecs, state
 
     def backward(self, dtheta):
         """Accumulate parameter gradients from d(loss)/d(theta vectors) (B, Q).
 
-        Returns the gradient with respect to the normalized correlation map.
+        Backprop stops at the OAC bank's parameters: the feature extractor is
+        frozen, so no gradient for the correlation map is computed. Returns
+        None. Each layer cache is released once its backward has run, so the
+        model keeps only the diagnostics an eval-mode forward keeps.
         """
         cache = self._cache
-        if cache is None:
-            raise RuntimeError("backward called before forward")
+        if cache is None or "oac" not in cache:
+            raise RuntimeError("backward needs a train-mode forward before it")
         alpha, g2a, tau = cache["alpha"], cache["g2a"], cache["tau"]
 
         self.head_w.grad += dtheta.T @ tau
@@ -224,21 +232,22 @@ class AttentiveAlignmentModel:
         dalpha = (dtau[:, None, :] @ g2a.reshape(*dtau.shape, -1)).reshape(alpha.shape)
 
         # G branch
-        dg_in = self.g1.backward(cache["g1"], self.g2.backward(cache["g2"], dg2a))
+        dg_in = self.g1.backward(cache.pop("g1"), self.g2.backward(cache.pop("g2"), dg2a))
         ec = self.config.encoder_channels
         dF = dg_in[:, :ec]
         self.embedding.grad += dg_in[:, ec:].sum(axis=0).reshape(self.config.embed_dim, -1).T
 
         # S branch
-        dscores = spatial_softmax_backward(cache["sm"], dalpha)
-        ds1a, gw, _ = conv2d_backward(cache["s2"], dscores)
+        dscores = spatial_softmax_backward(cache.pop("sm"), dalpha)
+        ds1a, gw, _ = conv2d_backward(cache.pop("s2"), dscores)
         self.s2_w.grad += gw
-        dF = dF + self.s1.backward(cache["s1"], ds1a)
+        dF = dF + self.s1.backward(cache.pop("s1"), ds1a)
 
-        dh = self.encoder.backward(cache["encoder"], dF)
+        dh = self.encoder.backward(cache.pop("encoder"), dF)
         if self.config.oac_path == "direct":
-            return corr.oac_backward_direct(cache["oac"], self.bank, dh)
-        return corr.oac_backward_reordered(cache["oac"], self.bank, dh)
+            corr.oac_backward_direct(cache.pop("oac"), self.bank, dh, input_grad=False)
+        else:
+            corr.oac_backward_reordered(cache.pop("oac"), self.bank, dh, input_grad=False)
 
     def theta_params(self, theta_vec):
         return geometry.params_from_vector(self.config.family, theta_vec, self.config.tps_grid)

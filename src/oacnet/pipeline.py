@@ -170,6 +170,8 @@ class TrainConfig(storage.ConfigCodec):
                 raise ValueError(f"{k} must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
+        if self.tps_grid < 2:
+            raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
         if self.oac_path not in ("direct", "reordered"):
             raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
         if self.image_size % self.feature_h or self.image_size % self.feature_w:

@@ -78,12 +78,18 @@ def load_checkpoint(dirpath):
     entries = {}
     tensors = {}
     with open(manifest_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, start=1):
+            fields = line.split()
+            if not fields:
                 continue
-            name, shape, role = line.split()
-            dims = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
+            if len(fields) != 3:
+                raise StorageError(f"{manifest_path}:{lineno}: expected 'name shape role', "
+                                   f"got {len(fields)} fields")
+            name, shape, role = fields
+            try:
+                dims = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
+            except ValueError:
+                raise StorageError(f"{manifest_path}:{lineno}: bad shape {shape!r}") from None
             entries[name] = (dims, role)
             arr = load_tensor(os.path.join(dirpath, name.replace("/", "_") + ".oact"))
             if tuple(arr.shape) != dims:
@@ -92,7 +98,7 @@ def load_checkpoint(dirpath):
     config = None
     config_path = os.path.join(dirpath, "config.txt")
     if os.path.isfile(config_path):
-        config = parse_config_text(open(config_path).read())
+        config = load_config_file(config_path)
     return tensors, entries, config
 
 

@@ -102,30 +102,39 @@ def conv2d_forward(x, w, b, padding=0):
     out = (w.reshape(cout, -1) @ cols).reshape(cout, B, Ho, Wo).transpose(1, 0, 2, 3)
     out += b[None, :, None, None]
     assert_finite(out, "conv2d output")
-    return out, (x, w, padding, (B, cin, H, W))
+    # a k x k conv keeps its im2col matrix for the weight gradient; a 1x1
+    # conv's is a transposed copy of x, cheaper to rebuild than to hold
+    return out, (x, w, padding, cols if k > 1 else None)
 
 
 def conv2d_backward(cache, gout):
-    x_pad, w, padding, in_shape = cache
+    x_pad, w, padding, cols = cache
     cout, cin, k, _ = w.shape
     B, _, Ho, Wo = gout.shape
-    cols = sliding_window_view(x_pad, (k, k), axis=(2, 3))
     g = gout.transpose(1, 0, 2, 3).reshape(cout, B * Ho * Wo)
-    gw = (g @ cols.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, -1)).reshape(w.shape)
+    if cols is None:
+        # the 1x1 im2col as channels-last x: given a transposed view of cols,
+        # the small 1x1 GEMMs and the single-output GEMV round differently
+        x_cols = x_pad.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, cin)
+    else:
+        x_cols = cols.T
+    gw = (g @ x_cols).reshape(w.shape)
     gb = gout.sum(axis=(0, 2, 3))
-    # per tap (i, j), in order: w[:, :, i, j].T @ g into one reused buffer,
-    # added into the shifted window of an accumulator laid out (H, W, Cin, B)
-    # so that each add runs over Cin*B values rather than Wo
+    # per tap (i, j), in order: w[:, :, i, j].T @ g into one reused buffer, with
+    # g's columns ordered (Ho, Wo, B), added into the shifted window of an
+    # accumulator laid out (Cin, H, W, B), so that each add runs over Wo*B
+    # contiguous values
+    g_hwb = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(cout, Ho * Wo * B)
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # k, k, Cin, Cout
-    acc = np.zeros(x_pad.shape[2:] + (cin, B))
-    tap = np.empty((cin, B * Ho * Wo))
-    tap_hwcb = tap.reshape(cin, B, Ho, Wo).transpose(2, 3, 0, 1)
+    acc = np.zeros((cin,) + x_pad.shape[2:] + (B,))
+    tap = np.empty((cin, Ho * Wo * B))
+    tap_chwb = tap.reshape(cin, Ho, Wo, B)
     for i in range(k):
         for j in range(k):
-            np.matmul(w_taps[i, j], g, out=tap)
-            acc[i : i + Ho, j : j + Wo] += tap_hwcb
+            np.matmul(w_taps[i, j], g_hwb, out=tap)
+            acc[:, i : i + Ho, j : j + Wo] += tap_chwb
     gx_pad = np.empty_like(x_pad)  # x_pad's memory layout, which later reductions follow
-    gx_pad[...] = acc.transpose(3, 2, 0, 1)
+    gx_pad[...] = acc.transpose(3, 0, 1, 2)
     if padding:
         gx = gx_pad[:, :, padding:-padding, padding:-padding]
     else:

@@ -75,6 +75,14 @@ class TestTrainCommand:
         assert code == 1
         assert_one_line_error(capsys, "bad config")
 
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_degenerate_tps_grid_exits_1(self, grid, tmp_path, capsys):
+        config = write_config(tmp_path / "tps.cfg", family="tps", tps_grid=grid)
+        out = tmp_path / "out"
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
+        assert_one_line_error(capsys, "bad config", "tps_grid")
+        assert not out.exists()
+
     def test_smoke_run_emits_artifacts(self, trained_dir, capsys):
         assert (trained_dir / "loss.csv").is_file()
         assert (trained_dir / "checkpoint" / "manifest.txt").is_file()
@@ -182,6 +190,14 @@ class TestBenchCommand:
             assert "forward " in line and "backward " in line
             assert line.count("ms/call") == 2
 
+    def test_times_parameters_only_backward(self, capsys):
+        assert main(["bench", "--dims", "4x5x2", "--repeats", "1"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "parameters-only backward" in line]
+        assert [line.split(":")[0].strip() for line in lines] == ["direct", "reordered"]
+        for line in lines:
+            assert line.endswith(" ms/call") and "formula" not in line
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -278,6 +294,19 @@ class TestEvalCommand:
             line for line in lines if not line.startswith("encoder.bn.running_mean ")))
         assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
         assert_one_line_error(capsys, "encoder.bn.running_mean")
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda line: line.rsplit(" ", 1)[0], "expected 'name shape role', got 2 fields"),
+        (lambda line: line.replace(" ", " Ax", 1), "bad shape"),
+    ], ids=["two-fields", "non-integer-dims"])
+    def test_malformed_manifest_exits_1(self, edit, fragment, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        manifest = run / "checkpoint" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
+        assert_one_line_error(capsys, f"{manifest}:3:", fragment)
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):

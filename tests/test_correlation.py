@@ -382,6 +382,26 @@ class TestOacBackward:
                               oac_backward_direct(cacheb, bank, proj[1:2]))
 
 
+    @pytest.mark.parametrize("path", ["direct", "reordered"])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_parameters_only_backward(self, path, B):
+        """input_grad=False returns None and leaves the parameter gradients
+        byte-equal to the full backward's."""
+        fwd, bwd = {"direct": (oac_forward_direct, oac_backward_direct),
+                    "reordered": (oac_forward_reordered, oac_backward_reordered)}[path]
+        rng = np.random.default_rng(30 + B)
+        c = rng.standard_normal((B, 35, 5, 7))
+        proj = rng.standard_normal((B, 4, 5, 7))
+        grads = []
+        for input_grad in (True, False):
+            bank = random_bank(4, 5, 7, seed=31)
+            _, cache = fwd(c, bank)
+            dc = bwd(cache, bank, proj, input_grad=input_grad)
+            assert (dc is None) == (not input_grad)
+            grads.append([p.grad.tobytes() for p in bank.parameters()])
+        assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # multiplication counting
 

@@ -370,6 +370,27 @@ class TestSamplerEquivalence:
                 arr[0, 0] = 5.0
         assert probe.shape == (164, 2) and grid.shape == (64, 2)
 
+    @pytest.mark.parametrize("grid_n", [2, 3, 4])
+    def test_cached_tps_basis_byte_equal_to_uncached(self, grid_n):
+        solver = geometry._TpsSolver.get(grid_n)
+        rng = np.random.default_rng(grid_n)
+        theta = TpsParams(0.1 * rng.standard_normal(2 * grid_n * grid_n), grid_n)
+        for pts in (geometry._crop_grid(32, 32), geometry._border_probe(41)):
+            fresh = geometry._TpsSolver(grid_n).basis(pts.copy())
+            for _ in range(2):  # the computing call, then the cached one
+                cached = solver.cached_basis(pts)
+                assert cached.tobytes() == fresh.tobytes()
+                assert not cached.flags.writeable
+            moved = pts + np.stack([fresh @ theta.theta[: grid_n**2],
+                                    fresh @ theta.theta[grid_n**2 :]], axis=1)
+            assert theta.transform(pts).tobytes() == moved.tobytes()
+        # a writeable point set is never cached: its values may change
+        pts = geometry._crop_grid(8, 8).copy()
+        first = solver.cached_basis(pts)
+        pts[0] = 0.5
+        assert solver.cached_basis(pts).tobytes() == solver.basis(pts).tobytes()
+        assert not np.array_equal(first, solver.cached_basis(pts))
+
 
 # ---------------------------------------------------------------------------
 # random transform sampling

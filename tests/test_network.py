@@ -1,11 +1,14 @@
 """Tests for the encoder + attention head end to end, plus checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oacnet import geometry, storage
+from oacnet import correlation, geometry, pipeline, storage
 from oacnet.network import AttentiveAlignmentModel, ModelConfig
 from oacnet.tensor import (
+    Adam,
     BatchNorm,
     Parameter,
     ShapeError,
@@ -48,6 +51,12 @@ class TestModelConfig:
     def test_too_small_feature_map_rejected(self):
         with pytest.raises(ShapeError):
             ModelConfig(D=8, H=6, W=6)
+
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_degenerate_tps_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="tps_grid"):
+            ModelConfig.from_dict({"family": "tps", "D": "8", "H": "8", "W": "8",
+                                   "tps_grid": grid})
 
     def test_round_trip_through_lines(self):
         cfg = tiny_config(family="tps", oac_path="reordered")
@@ -264,6 +273,85 @@ class TestForward:
 
         report = grad_check(loss_fn, model.parameters(), max_entries=6)
         assert max(report.values()) < 1e-4, report
+
+
+class TestBackward:
+    """Backprop stops at the OAC bank, and the layer caches, the encoder's
+    im2col matrix included, live no longer than one training step."""
+
+    @pytest.mark.parametrize("path", ["direct", "reordered"])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_parameter_gradients_match_full_oac_backward(self, path, B, monkeypatch):
+        cfg = tiny_config(oac_path=path)
+        f_src, f_trg = random_features(cfg, B=B, seed=40)
+        rng = np.random.default_rng(41)
+        head = 0.1 * rng.standard_normal((cfg.Q, cfg.g_out))
+        dtheta = rng.standard_normal((B, cfg.Q))
+
+        def parameter_grads():
+            model = AttentiveAlignmentModel(cfg)
+            model.head_w.value[...] = head  # so gradients reach every branch
+            model.forward_features(f_src, f_trg, mode="train")
+            assert model.backward(dtheta) is None
+            return [p.grad.tobytes() for p in model.parameters()]
+
+        originals = {name: getattr(correlation, name)
+                     for name in ("oac_backward_direct", "oac_backward_reordered")}
+        calls = []  # (input_grad the model asked for, map gradient returned)
+
+        def route_oac_backward(full):
+            for name, bwd in originals.items():
+                def wrapped(cache, bank, grad_h, input_grad=True, _bwd=bwd):
+                    dc = _bwd(cache, bank, grad_h, input_grad=full or input_grad)
+                    calls.append((input_grad, dc))
+
+                monkeypatch.setattr(correlation, name, wrapped)
+
+        route_oac_backward(full=False)
+        lean = parameter_grads()
+        route_oac_backward(full=True)
+        assert parameter_grads() == lean
+        (asked, lean_dc), (_, full_dc) = calls
+        assert asked is False and lean_dc is None
+        assert full_dc.shape == (B, cfg.H * cfg.W, cfg.H, cfg.W)
+
+    def test_no_layer_cache_outlives_backward_or_eval_forward(self):
+        cfg = tiny_config()
+        model = warmed_model(cfg)
+        f_src, f_trg = random_features(cfg, seed=42)
+        diagnostics = {"F", "g2a", "tau", "alpha"}
+        model.forward_features(f_src, f_trg, mode="train")
+        model.backward(np.ones((2, cfg.Q)))
+        assert set(model._cache) == diagnostics
+        model.forward_features(f_src, f_trg, mode="train")
+        model.forward_features(f_src, f_trg, mode="eval")
+        assert set(model._cache) == diagnostics
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            model.backward(np.zeros((2, cfg.Q)))
+
+    def test_second_step_peaks_no_higher_than_first(self):
+        # N=64 kernels make the encoder's im2col (N*7*7 x B*2*2, 800 KB) the
+        # largest array a step holds, so a step that kept the previous
+        # step's im2col alive would peak that much higher
+        cfg = tiny_config(N=64)
+        model = AttentiveAlignmentModel(cfg)
+        optimizer = Adam(model.parameters())
+        f_src, f_trg = random_features(cfg, B=8, seed=43)
+        rng = np.random.default_rng(44)
+        batch = [(f_src[i], f_trg[i], geometry.sample_random_transform("affine", rng))
+                 for i in range(8)]
+        grid = geometry.make_regular_grid(5)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                pipeline.batch_loss_and_grads(model, batch, grid, mode="train")
+                optimizer.step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 class TestCheckpointing:

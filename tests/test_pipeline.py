@@ -259,6 +259,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-2"])
+    def test_degenerate_tps_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="tps_grid"):
+            TrainConfig.from_dict({"family": "tps", "tps_grid": grid})
+
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oacnet.tensor import (
     Adam,
@@ -43,6 +44,27 @@ def conv2d_reference(x, w, b, padding=0):
                                 acc += x[bi, c, i + di, j + dj] * w[o, c, di, dj]
                     out[bi, o, i, j] = acc + b[o]
     return out
+
+
+def conv2d_backward_im2col_reference(x, w, gout, padding=0):
+    """conv2d_backward as an im2col rebuilt from x with sliding_window_view
+    for the weight gradient, and one w[:, :, i, j].T @ g product per tap added
+    in tap order into a zeroed (B, Cin, H, W) input gradient."""
+    cout, cin, k, _ = w.shape
+    B, _, Ho, Wo = gout.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = sliding_window_view(x, (k, k), axis=(2, 3))
+    g = gout.transpose(1, 0, 2, 3).reshape(cout, B * Ho * Wo)
+    gw = (g @ cols.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, -1)).reshape(w.shape)
+    gx = np.zeros_like(x)
+    for i in range(k):
+        for j in range(k):
+            tap = (w[:, :, i, j].T @ g).reshape(cin, B, Ho, Wo)
+            gx[:, :, i : i + Ho, j : j + Wo] += tap.transpose(1, 0, 2, 3)
+    if padding:
+        gx = gx[:, :, padding:-padding, padding:-padding]
+    return gx, gw, gout.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +132,40 @@ class TestConv2d:
 
         report = grad_check(loss_fn, [wp, bp])
         assert max(report.values()) < 1e-4
+
+    @pytest.mark.parametrize("B,cin,H,cout,k", [
+        (8, 128, 15, 128, 7),  # paper-scale encoder, training batch
+        (1, 128, 15, 128, 7),  # paper-scale encoder, one pair
+        (16, 48, 8, 32, 7),    # desk-scale encoder
+        (8, 133, 9, 128, 1),   # paper-scale G branch
+        (16, 37, 2, 32, 1),    # desk-scale G branch
+        (8, 64, 9, 1, 1),      # single-output attention score
+    ])
+    def test_backward_byte_equal_to_im2col_reference(self, B, cin, H, cout, k):
+        rng = np.random.default_rng(B * cin + k)
+        x = rng.standard_normal((B, cin, H, H))
+        w = rng.standard_normal((cout, cin, k, k))
+        out, cache = conv2d_forward(x, w, np.zeros(cout))
+        gout = rng.standard_normal(out.shape)
+        got = conv2d_backward(cache, gout)
+        ref = conv2d_backward_im2col_reference(x, w, gout)
+        for name, a, r in zip(("gx", "gw", "gb"), got, ref):
+            assert a.shape == r.shape and a.tobytes() == r.tobytes(), name
+
+    def test_padded_backward_matches_im2col_reference(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 4, 6, 5))
+        w = rng.standard_normal((5, 4, 3, 3))
+        out, cache = conv2d_forward(x, w, np.zeros(5), padding=1)
+        gout = rng.standard_normal(out.shape)
+        gx, gw, gb = conv2d_backward(cache, gout)
+        rx, rw, rb = conv2d_backward_im2col_reference(x, w, gout, padding=1)
+        assert gx.shape == x.shape
+        assert gx.tobytes() == rx.tobytes() and gb.tobytes() == rb.tobytes()
+        # the weight gradient reads the forward's im2col through a transposed
+        # view; at sizes this small, how OpenBLAS rounds a GEMM can depend on
+        # operand layout, so only closeness is asserted here
+        assert np.allclose(gw, rw, rtol=1e-13, atol=1e-13)
 
     def test_input_gradient(self):
         rng = np.random.default_rng(2)
