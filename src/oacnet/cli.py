@@ -24,6 +24,23 @@ def _print_config(args, resolved):
         print(f"  {k} = {v}")
 
 
+def _positive(flag, value):
+    """Rejects a count flag below 1 (ValueError, so main exits 1)."""
+    if value < 1:
+        raise ValueError(f"{flag} must be positive, got {value}")
+
+
+def _parse_dims(text, example):
+    """H, W, N from a --dims value such as 4x4x2, each positive."""
+    try:
+        H, W, N = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        H = W = N = 0
+    if min(H, W, N) < 1:
+        raise ValueError(f"--dims must look like {example} with positive sizes, got {text!r}")
+    return H, W, N
+
+
 def cmd_train(args):
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
@@ -61,11 +78,8 @@ def cmd_train(args):
 
 
 def cmd_check_equiv(args):
-    try:
-        H, W, N = (int(x) for x in args.dims.lower().split("x"))
-    except ValueError:
-        print(f"error: --dims must look like 4x4x2, got {args.dims!r}", file=sys.stderr)
-        return 1
+    H, W, N = _parse_dims(args.dims, "4x4x2")
+    _positive("--trials", args.trials)
     _print_config(args, {"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
     bounds = {"output": 1e-10, "weight-gradient": 1e-8, "bias-gradient": 1e-12,
               "input-gradient": 1e-10}
@@ -104,11 +118,8 @@ def cmd_check_equiv(args):
 
 
 def cmd_bench(args):
-    try:
-        H, W, N = (int(x) for x in args.dims.lower().split("x"))
-    except ValueError:
-        print(f"error: --dims must look like 15x15x128, got {args.dims!r}", file=sys.stderr)
-        return 1
+    H, W, N = _parse_dims(args.dims, "15x15x128")
+    _positive("--repeats", args.repeats)
     _print_config(args, {"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((H * W, H, W))
@@ -184,18 +195,14 @@ def cmd_eval(args):
     if not args.checkpoint:
         print("error: need --checkpoint or --keypoints-csv", file=sys.stderr)
         return 1
+    _positive("--pairs", args.pairs)
     model, tconf = _load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     images = [
         pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
         for _ in range(args.pairs)
     ]
-    provider = pipeline.build_provider(tconf)
-    pad = pipeline.default_pad((tconf.image_size, tconf.image_size))
-    batch = []
-    for image in images:
-        pair = pipeline.generate_pair(image, tconf.family, pad, rng, grid_n=tconf.tps_grid)
-        batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
+    batch = pipeline.build_pairs(images, pipeline.build_provider(tconf), tconf, rng)
     try:
         mean_tgd, state = pipeline.evaluate_tgd(model, batch)
     except (ShapeError, NumericError) as e:
@@ -233,13 +240,10 @@ def cmd_warp(args):
         model, tconf = _load_checkpoint(args.checkpoint)
         rng = np.random.default_rng(args.seed)
         provider = pipeline.build_provider(tconf, channels=image.shape[0])
-        pad = pipeline.default_pad(image.shape[1:])
-        pair = pipeline.generate_pair(image, tconf.family, pad, rng, grid_n=tconf.tps_grid)
-        theta_vec, state = model.forward_features(
-            provider(pair.source), provider(pair.target), mode="eval"
-        )
-        theta = model.theta_params(theta_vec)
-        warped = geometry.bilinear_warp(pair.source, theta)
+        [(f_src, f_trg, _)] = pipeline.build_pairs([image], provider, tconf, rng)
+        theta_vec, state = model.forward_features(f_src, f_trg, mode="eval")
+        # a pair's source crop is its image itself
+        warped = geometry.bilinear_warp(image, model.theta_params(theta_vec))
         storage.save_image(args.out, warped)
         base = os.path.splitext(args.out)[0]
         a = state.alpha[0, 0]

@@ -177,23 +177,6 @@ def identity_vector(family, grid_n=3):
     raise ValueError(f"unknown transform family {family!r}")
 
 
-class ComposedTransform:
-    """Sequential application: second(first(p)). Usable by tgd/pck/warp."""
-
-    family = "composed"
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def transform(self, pts):
-        return self.second.transform(self.first.transform(pts))
-
-
-def compose_affine_tps(theta_aff, theta_tps):
-    return ComposedTransform(theta_aff, theta_tps)
-
-
 # ---------------------------------------------------------------------------
 # Grids and the training loss
 
@@ -332,17 +315,6 @@ def _sample_flat(image, pix, pad=0, snap_tol=1e-9):
     return v00
 
 
-def bilinear_sample(image, pix_x, pix_y, snap_tol=1e-9):
-    """Sample (C,H,W) image at fractional pixel coords; reflection outside.
-
-    Coordinates within snap_tol of an integer are snapped so that identity
-    resampling is bit-exact.
-    """
-    pix = np.asarray(np.broadcast_arrays(pix_x, pix_y), dtype=np.float64)
-    out = _sample_flat(image, pix.reshape(2, -1), snap_tol=snap_tol)
-    return out.reshape(image.shape[:1] + pix.shape[1:])
-
-
 @functools.lru_cache(maxsize=16)
 def _crop_grid(H, W):
     """Read-only (H*W, 2) normalized coordinates of every pixel center, row-major."""
@@ -355,10 +327,13 @@ def _crop_grid(H, W):
 
 
 def bilinear_warp(image, theta):
-    """Output at normalized grid point g samples the input at T_theta(g)."""
+    """Output at normalized grid point g samples the input at T_theta(g), with
+    reflection outside the image. Sample coordinates within _sample_flat's
+    snap tolerance of an integer are snapped, so identity resampling is
+    bit-exact."""
     C, H, W = image.shape
     pix = denormalize_points(theta.transform(_crop_grid(H, W)), (H, W))
-    out = bilinear_sample(image, pix[:, 0].reshape(H, W), pix[:, 1].reshape(H, W))
+    out = _sample_flat(image, pix.T).reshape(C, H, W)
     return assert_finite(out, "warped image")
 
 

@@ -214,21 +214,28 @@ def build_provider(config, channels=None):
     )
 
 
-def _build_pairs(images, provider, config, rng, n):
-    """n (f_src, f_trg, theta_gt) triples. Per pair, rng draws the image index,
-    then the transform (sample_random_transform); nothing else draws from it."""
-    pad = default_pad((config.image_size, config.image_size))
+def build_pairs(images, provider, config, rng):
+    """One (f_src, f_trg, theta_gt) triple per image of the iterable `images`,
+    in config's transform family. Each image is taken from the iterable before
+    rng draws its pair's transform (sample_random_transform), so a generator
+    may draw from rng too; nothing else draws from it. The pad comes from each
+    image's own shape."""
     batch = []
-    for _ in range(n):
-        image = images[rng.integers(len(images))]
+    for image in images:
+        pad = default_pad(image.shape[1:])
         pair = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
         batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
     return batch
 
 
+def _drawn(images, rng, n):
+    """n images of the list, each index drawn from rng as the image is taken."""
+    return (images[rng.integers(len(images))] for _ in range(n))
+
+
 def _make_batch(images, provider, config, rng, loss_grid):
     """One training batch; loss_grid is unused and kept for existing callers."""
-    return _build_pairs(images, provider, config, rng, config.batch_size)
+    return build_pairs(_drawn(images, rng, config.batch_size), provider, config, rng)
 
 
 def batch_loss_and_grads(model, batch, loss_grid, mode="train", update_stats=None):
@@ -295,7 +302,8 @@ def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
             log_fn(step, loss)
 
     val_rng = np.random.default_rng(config.seed + 1)
-    val_batch = _build_pairs(val_images, provider, config, val_rng, max(32, config.batch_size))
+    val_batch = build_pairs(_drawn(val_images, val_rng, max(32, config.batch_size)),
+                            provider, config, val_rng)
     return model, history, val_batch
 
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from oacnet import geometry, pipeline, storage
+from oacnet import cli, geometry, pipeline, storage
 from oacnet.cli import main
 from oacnet.network import AttentiveAlignmentModel
 
@@ -150,7 +150,10 @@ class TestCheckEquivCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_bad_dims_exits_1(self, capsys):
-        assert main(["check-equiv", "--dims", "4by4"]) == 1
+        for argv in (["--dims", "4by4"], ["--dims", "0x4x2"], ["--dims", "4x4x0"],
+                     ["--trials", "0"]):
+            assert main(["check-equiv", *argv]) == 1
+            assert_one_line_error(capsys, argv[0])
 
     def test_reproducible_output(self, capsys):
         main(["check-equiv", "--dims", "3x3x2", "--trials", "10", "--seed", "4"])
@@ -180,7 +183,10 @@ class TestBenchCommand:
         assert main(["bench", "--dims", dims, "--repeats", "1"]) == 0
 
     def test_bad_dims_exits_1(self, capsys):
-        assert main(["bench", "--dims", "x"]) == 1
+        for argv in (["--dims", "x"], ["--dims", "0x4x2"], ["--dims", "4x4x0"],
+                     ["--repeats", "0"], ["--repeats", "-1"]):
+            assert main(["bench", *argv]) == 1
+            assert_one_line_error(capsys, argv[0])
 
     def test_times_forward_and_backward(self, capsys):
         assert main(["bench", "--dims", "4x5x2", "--repeats", "1"]) == 0
@@ -261,8 +267,42 @@ class TestEvalCommand:
                 for line in csvs[0].read_text().splitlines()]
         assert abs(sum(sum(r) for r in rows) - 1.0) <= 1e-12
 
-    def test_missing_inputs_exit_1(self, capsys):
+    def test_missing_inputs_exit_1(self, trained_dir, capsys):
         assert main(["eval"]) == 1
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--pairs", "0"]) == 1
+        assert_one_line_error(capsys, "--pairs")
+
+    def test_checkpoint_mode_matches_per_pair_loop(self, trained_dir, capsys):
+        """eval's numbers equal those of its own per-pair synthesis loop:
+        all images first, then one transform and two provider calls per pair."""
+        ckpt = str(trained_dir / "checkpoint")
+        assert main(["eval", "--checkpoint", ckpt, "--pairs", "5", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        model, tconf = cli._load_checkpoint(ckpt)
+        rng = np.random.default_rng(2)
+        images = [pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
+                  for _ in range(5)]
+        provider = pipeline.build_provider(tconf)
+        pad = pipeline.default_pad((tconf.image_size, tconf.image_size))
+        batch = []
+        for image in images:
+            pair = pipeline.generate_pair(image, tconf.family, pad, rng, grid_n=tconf.tps_grid)
+            batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
+        mean_tgd, _ = pipeline.evaluate_tgd(model, batch)
+        pck = pipeline.evaluate_pck_synthetic(
+            model, batch, alpha=0.1, image_hw=(tconf.image_size, tconf.image_size), seed=2)
+        assert f"mean TGD over 5 synthetic pairs: {mean_tgd:.6f}\n" in out
+        assert f"PCK(alpha=0.1): {pck:.4f}\n" in out
+
+        rng = np.random.default_rng(2)
+        images = [pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
+                  for _ in range(5)]
+        built = pipeline.build_pairs(images, provider, tconf, rng)
+        for (fs, ft, gt), (rs, rt, rgt) in zip(built, batch, strict=True):
+            assert fs.tobytes() == rs.tobytes() and ft.tobytes() == rt.tobytes()
+            assert gt.theta.tobytes() == rgt.theta.tobytes()
 
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1

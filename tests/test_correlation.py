@@ -1,7 +1,6 @@
 """Tests for the correlation layer, offset reordering, and the offset-indexed
 kernels in both formulations."""
 
-import os
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from oacnet.correlation import (
     correlation_map,
     count_multiplications,
     count_nonzero_offset_entries,
-    dump_kernel_sheets,
     inverse_reorder,
     normalize_correlation,
     oac_backward_direct,
@@ -23,7 +21,6 @@ from oacnet.correlation import (
     oac_forward_reordered,
     reorder_by_offset,
 )
-from oacnet.storage import load_image
 from oacnet.tensor import ShapeError, grad_check, l2_normalize_channels
 
 
@@ -172,12 +169,31 @@ class TestReorderByOffset:
                         exists = 0 <= k < H and 0 <= l < W
                         assert r[ch, i, j] == (1.0 if exists else 0.0)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5))
+    @pytest.mark.parametrize("B,H,W", [(1, 3, 5), (3, 5, 2), (2, 4, 4), (2, 1, 3)])
+    def test_matches_loop_reference(self, B, H, W):
+        """r[b, o(i-k, j-l), i, j] = c[b, k*W+l, i, j] on random non-square
+        maps, the result a view of channels-last memory."""
+        c = np.random.default_rng(10 * H + W).standard_normal((B, H * W, H, W))
+        ref = np.zeros((B, (2 * H - 1) * (2 * W - 1), H, W))
+        for b in range(B):
+            for i in range(H):
+                for j in range(W):
+                    for k in range(H):
+                        for l in range(W):
+                            o = (i - k + H - 1) * (2 * W - 1) + (j - l + W - 1)
+                            ref[b, o, i, j] = c[b, k * W + l, i, j]
+        r = reorder_by_offset(c)
+        assert np.array_equal(r, ref)
+        assert r.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.array_equal(reorder_by_offset(c[0]), ref[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
-    def test_round_trip_property(self, seed, H, W):
+    def test_round_trip_property(self, seed, B, H, W):
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal((H * W, H, W))
+        c = rng.standard_normal((B, H * W, H, W))
         assert np.array_equal(inverse_reorder(reorder_by_offset(c), H, W), c)
+        assert np.array_equal(inverse_reorder(reorder_by_offset(c[0]), H, W), c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +456,3 @@ class TestCountMultiplications:
     def test_bad_path_rejected(self):
         with pytest.raises(ValueError):
             count_multiplications(2, 2, 1, "sparse")
-
-
-# ---------------------------------------------------------------------------
-# kernel sheet dumps
-
-
-class TestDumpKernelSheets:
-    def test_writes_readable_graymaps(self, tmp_path):
-        bank = random_bank(3, 4, 4, seed=21)
-        paths = dump_kernel_sheets(bank, str(tmp_path))
-        assert len(paths) == 3
-        for p in paths:
-            img = load_image(p)
-            assert img.shape == (1, 7, 7)
-            assert img.min() >= 0.0 and img.max() <= 1.0

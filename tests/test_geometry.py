@@ -10,7 +10,6 @@ from oacnet.geometry import (
     AffineParams,
     TpsParams,
     bilinear_warp,
-    compose_affine_tps,
     make_regular_grid,
     max_border_displacement,
     mirror_pad,
@@ -420,29 +419,3 @@ class TestSampleRandomTransform:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             sample_random_transform("projective", np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-class TestComposeAffineTps:
-    def test_identity_composition(self):
-        comp = compose_affine_tps(AffineParams.identity(), TpsParams.identity())
-        grid = make_regular_grid(7)
-        assert np.allclose(comp.transform(grid), grid, atol=1e-10)
-
-    def test_zero_tps_equals_affine_alone(self):
-        rng = np.random.default_rng(11)
-        aff = sample_random_transform("affine", rng)
-        comp = compose_affine_tps(aff, TpsParams.identity())
-        grid = make_regular_grid(5)
-        assert np.allclose(comp.transform(grid), aff.transform(grid), atol=1e-10)
-
-    def test_matches_sequential_application(self):
-        rng = np.random.default_rng(12)
-        aff = sample_random_transform("affine", rng)
-        tps = sample_random_transform("tps", rng)
-        comp = compose_affine_tps(aff, tps)
-        grid = make_regular_grid(6)
-        assert np.allclose(comp.transform(grid), tps.transform(aff.transform(grid)), atol=1e-12)

@@ -11,7 +11,6 @@ from oacnet.pipeline import (
     batch_loss_and_grads,
     build_corpus,
     build_provider,
-    default_pad,
     generate_pair,
     identity_baseline,
     import_feature_map,
@@ -33,15 +32,11 @@ def small_config(**overrides):
 
 
 def make_batch_for(model_or_config, config, seed=0):
+    """A batch of fresh procedural images, each drawn just before its transform."""
     rng = np.random.default_rng(seed)
-    provider = build_provider(config)
-    pad = default_pad((config.image_size, config.image_size))
-    batch = []
-    for _ in range(config.batch_size):
-        image = make_procedural_image(rng, config.image_size, config.image_channels)
-        pair = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
-        batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
-    return batch
+    images = (make_procedural_image(rng, config.image_size, config.image_channels)
+              for _ in range(config.batch_size))
+    return pipeline.build_pairs(images, build_provider(config), config, rng)
 
 
 # ---------------------------------------------------------------------------
