@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numeric-guard failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -180,6 +181,10 @@ def _load_theta(path):
 
 def cmd_eval(args):
     _print_config(args, {"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
+    if not (math.isfinite(args.alpha) and args.alpha > 0):
+        raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
+    if args.image_size < 2:
+        raise ValueError(f"--image-size must be at least 2, got {args.image_size}")
     predicted_theta = _load_theta(args.theta_file) if args.theta_file else None
 
     if args.keypoints_csv:

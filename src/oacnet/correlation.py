@@ -16,10 +16,14 @@ flipped in both axes, whose entry (k, l) is the offset (i-k, j-l). Both paths
 go through it. The direct path applies kernel weights by offset during the
 summation: one GEMM per source location against that window of the bank laid
 out channels-last, which holds exactly the weights that location's targets
-need. The reordered path writes each source location's correlations into the
-same window of the offset-indexed volume, then runs a dense 1x1 convolution
-over it. It deliberately keeps the dense model (including multiplies by
-structural zeros) so it can serve as the slow oracle and the cost-model foil.
+need. No window is copied: the windows of one source column share their
+columns, so the forward copies one strip per column and reads each window in
+place, and the windows of one source row share their rows, so the weight
+gradient takes one GEMM per source row. The reordered path writes each source
+location's correlations into the same window of the offset-indexed volume,
+then runs a dense 1x1 convolution over it. It deliberately keeps the dense
+model (including multiplies by structural zeros) so it can serve as the slow
+oracle and the cost-model foil.
 
 Both backward passes take `input_grad`. With True (the default, used by the
 equivalence checks and the bench) they also return the gradient for the raw
@@ -29,7 +33,10 @@ nothing reads that gradient, and the backward stops at the bank's parameters.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Parameter, ShapeError, assert_finite, he_uniform
 
@@ -160,15 +167,23 @@ class OacKernelBank:
             raise ShapeError(f"bank built for {self.H}x{self.W}, got {H}x{W}")
 
 
-def _windows(bank, H, W):
-    """Per source location: i*W+j and the weights under its window of the
-    flipped bank laid out channels-last, (2H-1, 2W-1, N), as an (HW, N) matrix
-    in one reused buffer. Row k*W+l of that matrix is w[:, i-k+H-1, j-l+W-1]."""
+def _column_strips(bank, H, W):
+    """Per source column j: the slice of ij that picks locations (i, j), and
+    an (H, HW, N) view whose entry i is location (i, j)'s window of the
+    flipped bank laid out channels-last, (2H-1, 2W-1, N), as an (HW, N)
+    matrix: row k*W+l is w[:, i-k+H-1, j-l+W-1]. Column j's windows share
+    their columns, so the view reads them in place from one reused
+    (2H-1, W, N) strip of those columns: entry i is strip rows
+    [H-1-i, 2H-1-i), one contiguous block."""
+    N = bank.N
     fw = np.ascontiguousarray(bank.weights.value[:, ::-1, ::-1].transpose(1, 2, 0))
-    buf = np.empty((H, W, bank.N))
-    for ij, win in _window_slices(H, W):
-        np.copyto(buf, fw[win])
-        yield ij, buf.reshape(H * W, bank.N)
+    strip = np.empty((2 * H - 1, W, N))
+    row, _, item = strip.strides
+    windows = as_strided(strip[H - 1:], (H, H * W, N), (-row, N * item, item))
+    # the first W windows are row 0's, one per column
+    for j, (_, cols) in islice(_window_slices(H, W), W):
+        np.copyto(strip, fw[:, cols])
+        yield slice(j, None, W), windows
 
 
 def _bias_relu(pre, bank):
@@ -194,15 +209,17 @@ def oac_forward_direct(c, bank, counter=None):
 
     h[b,n,i,j] = relu(bias_n + sum_{k,l} w[n, i-k, j-l] * c[b, k*W+l, i, j]),
     as one (B, HW) x (HW, N) GEMM per source location (i, j) between that
-    location's correlations and the window of the flipped, channels-last bank.
+    location's correlations and its window of the flipped, channels-last
+    bank. One stacked matmul per source column runs the column's H GEMMs on
+    the windows of its strip (`_column_strips`), so no window is copied.
     """
     c, single = _as_batched(c)
     B, HW, H, W = c.shape
     bank.check_dims(H, W)
     C = np.ascontiguousarray(c.reshape(B, HW, HW).transpose(2, 0, 1))  # [ij, b, kl]
     t = np.empty((HW, B, bank.N))
-    for ij, window in _windows(bank, H, W):
-        np.matmul(C[ij], window, out=t[ij])
+    for col, windows in _column_strips(bank, H, W):
+        np.matmul(C[col], windows, out=t[col])
     if counter is not None:
         counter.add(B * bank.N * H * W * H * W)
     pre = np.ascontiguousarray(t.reshape(H, W, B, bank.N).transpose(2, 3, 0, 1))
@@ -213,23 +230,36 @@ def oac_forward_direct(c, bank, counter=None):
 def oac_backward_direct(cache, bank, grad_h, input_grad=True):
     """Exact gradients of the direct formulation: accumulates into the bank's
     parameters and returns the gradient for the raw map, or None when
-    input_grad is False (then no weight window is read)."""
+    input_grad is False (then the bank's weights are not read).
+
+    The weight gradient sums C[ij].T @ D[ij] into each location's window.
+    Source row i's W windows share their H rows of the flipped grid, so one
+    GEMM per source row does it: each location's correlations fill its
+    window's columns of a zeroed (W*B, H*(2W-1)) skew buffer, whose transpose
+    times row i's (W*B, N) output gradients is those rows' gradient. That is
+    H GEMMs with inner dimension W*B, not HW with inner dimension B, at
+    (2W-1)/W times the multiplies for the structural zeros.
+    """
     C, pre = cache
     dpre = _bias_relu_backward(pre, bank, grad_h)
     B, N, H, W = dpre.shape
     D = np.ascontiguousarray(dpre.transpose(2, 3, 0, 1)).reshape(H * W, B, N)  # [ij, b, n]
-    # the weight gradient sums C[ij].T @ D[ij] into each location's window
     dfw = np.zeros((2 * H - 1, 2 * W - 1, N))
-    dwin = np.empty((H * W, N))
-    for ij, win in _window_slices(H, W):
-        np.matmul(C[ij].T, D[ij], out=dwin)
-        dfw[win] += dwin.reshape(H, W, N)
+    skew = np.zeros((W, B, H, 2 * W - 1))
+    dfw_rows = np.empty((H * (2 * W - 1), N))
+    for ij, (rows, cols) in _window_slices(H, W):
+        j = ij % W
+        skew[j, :, :, cols] = C[ij].reshape(B, H, W)
+        if j == W - 1:
+            D_row = D[ij + 1 - W:ij + 1].reshape(W * B, N)
+            np.matmul(skew.reshape(W * B, -1).T, D_row, out=dfw_rows)
+            dfw[rows] += dfw_rows.reshape(H, 2 * W - 1, N)
     bank.weights.grad += dfw[::-1, ::-1].transpose(2, 0, 1)
     if not input_grad:
         return None
     dC = np.empty_like(C)
-    for ij, window in _windows(bank, H, W):
-        np.matmul(D[ij], window.T, out=dC[ij])
+    for col, windows in _column_strips(bank, H, W):
+        np.matmul(D[col], windows.transpose(0, 2, 1), out=dC[col])
     return np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, H * W, H, W)
 
 

@@ -216,6 +216,8 @@ def load_image(path):
     if not all(t.isdigit() for t in tokens[1:]):
         raise StorageError(f"{path}: bad header fields {b' '.join(tokens[1:])!r}")
     w, h, maxval = (int(t) for t in tokens[1:])
+    if w == 0 or h == 0:
+        raise StorageError(f"{path}: empty image: {w}x{h}")
     if maxval != 255:
         raise StorageError(f"{path}: only maxval 255 supported")
     channels = 1 if magic == b"P5" else 3
@@ -246,7 +248,13 @@ def load_keypoints_csv(path):
             if len(fields) != 7:
                 raise StorageError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
             pid = fields[0]
-            sx, sy, tx, ty, bh, bw = (float(v) for v in fields[1:])
+            try:
+                values = [float(v) for v in fields[1:]]
+            except ValueError as e:
+                raise StorageError(f"{path}:{lineno}: {e}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise StorageError(f"{path}:{lineno}: coordinates and bbox must be finite")
+            sx, sy, tx, ty, bh, bw = values
             if bh <= 0 or bw <= 0:
                 raise StorageError(f"{path}:{lineno}: bbox dims must be positive")
             rec = pairs.setdefault(pid, {"src": [], "trg": [], "bbox_h": bh, "bbox_w": bw})

@@ -326,6 +326,28 @@ class TestEvalCommand:
         assert main(["eval", "--keypoints-csv", csv, "--theta-file", str(theta)]) == 1
         assert_one_line_error(capsys, str(theta), fragment)
 
+    @pytest.mark.parametrize("row,fragment", [
+        (("p0", 10, "x", 10, 10, 100, 100), "could not convert string to float: 'x'"),
+        (("p0", 10, 10, "nan", 10, 100, 100), "must be finite"),
+        (("p0", 10, 10, 10, 10, "inf", 100), "must be finite"),
+    ])
+    def test_malformed_keypoints_exit_1(self, row, fragment, tmp_path, capsys):
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 1, 1, 1, 1, 100, 100), row])
+        assert main(["eval", "--keypoints-csv", csv]) == 1
+        assert_one_line_error(capsys, f"{csv}:3:", fragment)
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-0.1"])
+    def test_bad_alpha_exits_1(self, alpha, tmp_path, capsys):
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        assert main(["eval", "--keypoints-csv", csv, "--alpha", alpha]) == 1
+        assert_one_line_error(capsys, "--alpha must be finite and positive")
+
+    @pytest.mark.parametrize("size", ["1", "0", "-5"])
+    def test_bad_image_size_exits_1(self, size, tmp_path, capsys):
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        assert main(["eval", "--keypoints-csv", csv, "--image-size", size]) == 1
+        assert_one_line_error(capsys, "--image-size must be at least 2")
+
     def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
         manifest = run / "checkpoint" / "manifest.txt"
@@ -426,6 +448,8 @@ class TestWarpCommand:
         (b"", "truncated header"),
         (b"P5\n4 4\n255\n\x00\x01", "expected 16 bytes, got 2"),
         (b"P5\nfour 4\n255\n" + bytes(16), "bad header fields"),
+        (b"P5\n0 0\n255\n", "empty image: 0x0"),
+        (b"P6\n3 0\n255\n", "empty image: 3x0"),
     ])
     def test_truncated_image_exits_1(self, blob, fragment, tmp_path, capsys):
         image = tmp_path / "in.pgm"

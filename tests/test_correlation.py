@@ -418,6 +418,73 @@ class TestOacBackward:
         assert grads[0] == grads[1]
 
 
+def direct_per_location(c, bank, g):
+    """The direct path as one GEMM per source location on a copied window:
+    each location (i, j) copies the weights w[:, i-k+H-1, j-l+W-1] of its
+    targets (k, l) into a contiguous (HW, N) matrix and multiplies. Returns
+    h, pre, the raw-map gradient, the bias gradient and the weight gradient."""
+    single = c.ndim == 3
+    c = c[None] if single else c
+    g = g[None] if single else g
+    B, HW, H, W = c.shape
+    N = bank.N
+    k, l = np.divmod(np.arange(HW), W)
+    C = np.ascontiguousarray(c.reshape(B, HW, HW).transpose(2, 0, 1))
+    offsets = [(i - k + H - 1, j - l + W - 1) for i in range(H) for j in range(W)]
+    windows = [np.ascontiguousarray(bank.weights.value[:, s, t].T) for s, t in offsets]
+    out = np.empty((HW, B, N))
+    for ij, window in enumerate(windows):
+        np.matmul(C[ij], window, out=out[ij])
+    pre = np.ascontiguousarray(out.reshape(H, W, B, N).transpose(2, 3, 0, 1))
+    pre += bank.bias.value[None, :, None, None]
+    h = np.maximum(pre, 0.0)
+    dpre = g * (pre > 0.0)
+    D = np.ascontiguousarray(dpre.transpose(2, 3, 0, 1)).reshape(HW, B, N)
+    dw = np.zeros((N, 2 * H - 1, 2 * W - 1))
+    dC = np.empty_like(C)
+    for ij, ((s, t), window) in enumerate(zip(offsets, windows)):
+        dw[:, s, t] += (C[ij].T @ D[ij]).T
+        np.matmul(D[ij], window.T, out=dC[ij])
+    dc = np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, HW, H, W)
+    return (h[0] if single else h), pre, dc, dpre.sum(axis=(0, 2, 3)), dw
+
+
+class TestDirectPathLayout:
+    """The direct path reads its weights in place from column strips and sums
+    the weight gradient one source row at a time. Against a per-location
+    reference that copies each window, the forward, the input gradient and
+    the bias gradient are byte-equal (the GEMMs are the same), and the weight
+    gradient, summed in another order, agrees to rounding."""
+
+    @pytest.mark.parametrize("B", [None, 1, 3, 8])
+    @pytest.mark.parametrize("H,W", [(15, 15), (3, 5), (5, 2), (1, 1)])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_matches_per_location_reference(self, B, H, W, N):
+        rng = np.random.default_rng(1000 * H + 100 * W + 10 * N + (B or 0))
+        lead = () if B is None else (B,)
+        c = rng.standard_normal(lead + (H * W, H, W))
+        g = rng.standard_normal(lead + (N, H, W))
+        bank = random_bank(N, H, W, seed=40)
+        bank.bias.value[...] = rng.standard_normal(N)
+        h_ref, pre_ref, dc_ref, db_ref, dw_ref = direct_per_location(c, bank, g)
+
+        h, cache = oac_forward_direct(c, bank)
+        dc = oac_backward_direct(cache, bank, g)
+        pre = cache[1]
+        for got, ref in ((h, h_ref), (pre, pre_ref), (dc, dc_ref)):
+            assert got.shape == ref.shape and got.strides == ref.strides
+            assert got.tobytes() == ref.tobytes()
+        assert bank.bias.grad.tobytes() == db_ref.tobytes()
+        dw = bank.weights.grad
+        assert np.max(np.abs(dw - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
+
+        # the parameters-only backward takes the same weight-gradient sum
+        for p in bank.parameters():
+            p.zero_grad()
+        assert oac_backward_direct(cache, bank, g, input_grad=False) is None
+        assert bank.weights.grad.tobytes() == dw.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # multiplication counting
 

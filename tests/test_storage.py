@@ -197,6 +197,13 @@ class TestImages:
         with pytest.raises(storage.StorageError, match="magic"):
             storage.load_image(str(tmp_path / "x.pgm"))
 
+    @pytest.mark.parametrize("header", [b"P5\n0 0\n255\n", b"P5\n0 4\n255\n", b"P6\n4 0\n255\n"])
+    def test_empty_image_rejected(self, header, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(header)
+        with pytest.raises(storage.StorageError, match=f"{path}: empty image"):
+            storage.load_image(str(path))
+
     def test_bad_maxval_rejected(self, tmp_path):
         (tmp_path / "x.pgm").write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(storage.StorageError, match="maxval"):
@@ -233,6 +240,20 @@ class TestKeypointsCsv:
         path = tmp_path / "kp.csv"
         path.write_text("p0,1,2,3,4,0,20\n")
         with pytest.raises(storage.StorageError, match="bbox"):
+            storage.load_keypoints_csv(str(path))
+
+
+    @pytest.mark.parametrize("line,fragment", [
+        ("p0,1,two,3,4,10,20", "could not convert"),
+        ("p0,1,2,3,4,nan,20", "finite"),
+        ("p0,1,2,-inf,4,10,20", "finite"),
+        ("p0,NaN,2,3,4,10,20", "finite"),
+    ])
+    def test_bad_value_rejected_with_line(self, line, fragment, tmp_path):
+        path = tmp_path / "kp.csv"
+        path.write_text("pair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n"
+                        "p0,1,2,3,4,10,20\n" + line + "\n")
+        with pytest.raises(storage.StorageError, match=f"{path}:3: .*{fragment}"):
             storage.load_keypoints_csv(str(path))
 
 
