@@ -19,7 +19,7 @@ from .network import AttentiveAlignmentModel
 from .tensor import NumericError, ShapeError
 
 
-def _print_config(args, resolved):
+def _print_config(resolved):
     print("resolved configuration:")
     for k, v in resolved.items():
         print(f"  {k} = {v}")
@@ -48,13 +48,13 @@ def cmd_train(args):
         return 1
     try:
         config = pipeline.TrainConfig.from_file(args.config)
-    except (storage.StorageError, ValueError) as e:
+    except (storage.StorageError, ShapeError, ValueError) as e:
         print(f"error: bad config: {e}", file=sys.stderr)
         return 1
     if args.seed is not None:
         config.seed = args.seed
     os.makedirs(args.out_dir, exist_ok=True)
-    _print_config(args, vars(config))
+    _print_config(vars(config))
     print(f"seed: {config.seed}")
     try:
         model, history, val_batch = pipeline.train(
@@ -68,10 +68,10 @@ def cmd_train(args):
     model.save(ckpt_dir)
     with open(os.path.join(args.out_dir, "train_config.txt"), "w") as f:
         f.write("\n".join(config.to_lines()) + "\n")
-    val_tgd, _ = pipeline.evaluate_tgd(model, val_batch)
-    baseline = pipeline.identity_baseline(
-        val_batch, config.family, geometry.make_regular_grid(20), config.tps_grid
-    )
+    theta_vecs, _ = pipeline.predict(model, val_batch)
+    val_tgd = pipeline.evaluate_tgd([model.theta_params(v) for v in theta_vecs], val_batch)
+    identity = model.theta_params(model.identity_offset)
+    baseline = pipeline.evaluate_tgd([identity] * len(val_batch), val_batch)
     print(f"final train loss: {history[-1][1]:.6f}")
     print(f"validation TGD: {val_tgd:.6f} (identity baseline {baseline:.6f})")
     print(f"checkpoint: {ckpt_dir}")
@@ -81,7 +81,7 @@ def cmd_train(args):
 def cmd_check_equiv(args):
     H, W, N = _parse_dims(args.dims, "4x4x2")
     _positive("--trials", args.trials)
-    _print_config(args, {"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
+    _print_config({"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
     bounds = {"output": 1e-10, "weight-gradient": 1e-8, "bias-gradient": 1e-12,
               "input-gradient": 1e-10}
     worst = dict.fromkeys(bounds, 0.0)
@@ -121,7 +121,7 @@ def cmd_check_equiv(args):
 def cmd_bench(args):
     H, W, N = _parse_dims(args.dims, "15x15x128")
     _positive("--repeats", args.repeats)
-    _print_config(args, {"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
+    _print_config({"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((H * W, H, W))
     bank = corr.OacKernelBank(N, H, W, rng=rng)
@@ -171,6 +171,15 @@ def _load_checkpoint(path):
     return model, tconf
 
 
+def _dump_attention(base, alpha):
+    """One pair's (H, W) attention map as base.csv and, scaled to peak 1, base.pgm."""
+    with open(base + ".csv", "w") as f:
+        for row in alpha:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    scaled = alpha / alpha.max() if alpha.max() > 0 else alpha
+    storage.save_image(base + ".pgm", scaled[None])
+
+
 def _load_theta(path):
     """Affine (6 values) or TPS (18 values) parameters from an OACT file."""
     vec = storage.load_tensor(path).reshape(-1)
@@ -180,7 +189,7 @@ def _load_theta(path):
 
 
 def cmd_eval(args):
-    _print_config(args, {"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
+    _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
     if args.image_size < 2:
@@ -209,12 +218,14 @@ def cmd_eval(args):
     ]
     batch = pipeline.build_pairs(images, pipeline.build_provider(tconf), tconf, rng)
     try:
-        mean_tgd, state = pipeline.evaluate_tgd(model, batch)
+        theta_vecs, state = pipeline.predict(model, batch)
+        thetas = [model.theta_params(v) for v in theta_vecs]
     except (ShapeError, NumericError) as e:
         print(f"error: checkpoint/feature mismatch: {e}", file=sys.stderr)
         return 1
+    mean_tgd = pipeline.evaluate_tgd(thetas, batch)
     pck_score = pipeline.evaluate_pck_synthetic(
-        model, batch, alpha=args.alpha, image_hw=(tconf.image_size, tconf.image_size),
+        thetas, batch, alpha=args.alpha, image_hw=(tconf.image_size, tconf.image_size),
         seed=args.seed,
     )
     print(f"mean TGD over {len(batch)} synthetic pairs: {mean_tgd:.6f}")
@@ -222,20 +233,15 @@ def cmd_eval(args):
     if args.dump_attention:
         os.makedirs(args.dump_attention, exist_ok=True)
         for i in range(state.alpha.shape[0]):
-            a = state.alpha[i, 0]
-            base = os.path.join(args.dump_attention, f"attention_{i:04d}")
-            with open(base + ".csv", "w") as f:
-                for row in a:
-                    f.write(",".join(repr(float(v)) for v in row) + "\n")
-            scaled = a / a.max() if a.max() > 0 else a
-            storage.save_image(base + ".pgm", scaled[None])
+            _dump_attention(os.path.join(args.dump_attention, f"attention_{i:04d}"),
+                            state.alpha[i, 0])
         print(f"attention dumps written to {args.dump_attention}")
     return 0
 
 
 def cmd_warp(args):
     image = storage.load_image(args.image)
-    _print_config(args, {"image": args.image, "out": args.out})
+    _print_config({"image": args.image, "out": args.out})
     if args.theta_file:
         warped = geometry.bilinear_warp(image, _load_theta(args.theta_file))
         storage.save_image(args.out, warped)
@@ -245,17 +251,12 @@ def cmd_warp(args):
         model, tconf = _load_checkpoint(args.checkpoint)
         rng = np.random.default_rng(args.seed)
         provider = pipeline.build_provider(tconf, channels=image.shape[0])
-        [(f_src, f_trg, _)] = pipeline.build_pairs([image], provider, tconf, rng)
-        theta_vec, state = model.forward_features(f_src, f_trg, mode="eval")
+        theta_vecs, state = pipeline.predict(
+            model, pipeline.build_pairs([image], provider, tconf, rng))
         # a pair's source crop is its image itself
-        warped = geometry.bilinear_warp(image, model.theta_params(theta_vec))
+        warped = geometry.bilinear_warp(image, model.theta_params(theta_vecs[0]))
         storage.save_image(args.out, warped)
-        base = os.path.splitext(args.out)[0]
-        a = state.alpha[0, 0]
-        with open(base + "_attention.csv", "w") as f:
-            for row in a:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-        storage.save_image(base + "_attention.pgm", (a / a.max())[None] if a.max() > 0 else a[None])
+        _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
         print(f"warped pair written to {args.out} (+ attention dumps)")
         return 0
     print("error: need --theta-file or --checkpoint", file=sys.stderr)

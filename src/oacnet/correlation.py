@@ -38,7 +38,7 @@ from itertools import islice
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Parameter, ShapeError, assert_finite, he_uniform
+from .tensor import Parameter, ShapeError, assert_finite, he_uniform, l2_normalize_channels
 
 
 class MultiplyCounter:
@@ -49,9 +49,6 @@ class MultiplyCounter:
 
     def add(self, n):
         self.total += int(n)
-
-    def reset(self):
-        self.total = 0
 
 
 def count_multiplications(H, W, N, path):
@@ -90,13 +87,9 @@ def correlation_map(f_src, f_trg):
     return c[0] if single else c
 
 
-def normalize_correlation(c, epsilon=1e-8):
+def normalize_correlation(c):
     """ReLU, then L2-normalize each location's correlation vector (channel axis)."""
-    c, single = _as_batched(c)
-    c = np.maximum(c, 0.0)
-    norms = np.sqrt(np.sum(c * c, axis=1, keepdims=True))
-    out = c / np.maximum(norms, epsilon)
-    return out[0] if single else out
+    return l2_normalize_channels(np.maximum(c, 0.0))
 
 
 def _window_slices(H, W):

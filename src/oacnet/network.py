@@ -58,6 +58,8 @@ class ModelConfig(storage.ConfigCodec):
             raise ValueError(f"unknown family {self.family!r}")
         if self.tps_grid < 2:
             raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
+        if self.oac_path not in ("direct", "reordered"):
+            raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
         if self.H < self.enc_kernel or self.W < self.enc_kernel:
             raise ShapeError(f"feature map {self.H}x{self.W} smaller than the encoder kernel")
 
@@ -148,10 +150,6 @@ class AttentiveAlignmentModel:
 
     def parameters(self):
         return [p for _, ps in self.parameter_groups() for p in ps]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def batch_norms(self):
         return [layer.bn for layer in (self.encoder, self.g1, self.g2, self.s1)]

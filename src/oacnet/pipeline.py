@@ -36,8 +36,6 @@ class RandomProjectionProvider:
     L2-normalizes columns. Never trained.
     """
 
-    name = "random_projection"
-
     def __init__(self, D, H, W, channels=1, image_size=32, seed=0):
         if image_size % H != 0 or image_size % W != 0:
             raise ShapeError(f"image size {image_size} not divisible by {H}x{W} grid")
@@ -170,17 +168,10 @@ class TrainConfig(storage.ConfigCodec):
                 raise ValueError(f"{k} must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        if self.tps_grid < 2:
-            raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
-        if self.oac_path not in ("direct", "reordered"):
-            raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
         if self.image_size % self.feature_h or self.image_size % self.feature_w:
             raise ValueError(f"image_size {self.image_size} not divisible by the "
                              f"{self.feature_h}x{self.feature_w} feature grid")
-        kernel = ModelConfig.enc_kernel
-        if self.feature_h < kernel or self.feature_w < kernel:
-            raise ValueError(f"feature grid {self.feature_h}x{self.feature_w} smaller than "
-                             f"the {kernel}x{kernel} encoder")
+        self.model_config()  # the model's own checks: family, tps_grid, grid size, oac_path
 
     @property
     def total_steps(self):
@@ -238,13 +229,19 @@ def _make_batch(images, provider, config, rng, loss_grid):
     return build_pairs(_drawn(images, rng, config.batch_size), provider, config, rng)
 
 
-def batch_loss_and_grads(model, batch, loss_grid, mode="train", update_stats=None):
+def predict(model, batch, mode="eval"):
+    """One forward pass over a batch of (f_src, f_trg, theta_gt) triples:
+    theta vectors (B, Q) and the attention state."""
+    f_src = np.stack([b[0] for b in batch])
+    f_trg = np.stack([b[1] for b in batch])
+    return model.forward_features(f_src, f_trg, mode=mode)
+
+
+def batch_loss_and_grads(model, batch, loss_grid, mode="train"):
     """Mean grid-distance loss over the batch; populates parameter grads in
     train mode. Gradient reduction over samples happens inside one batched
     backward pass with a fixed sample order."""
-    f_src = np.stack([b[0] for b in batch])
-    f_trg = np.stack([b[1] for b in batch])
-    theta_vecs, _ = model.forward_features(f_src, f_trg, mode=mode, update_stats=update_stats)
+    theta_vecs, _ = predict(model, batch, mode)
     B = len(batch)
     losses = np.zeros(B)
     dtheta = np.zeros_like(theta_vecs)
@@ -257,18 +254,10 @@ def batch_loss_and_grads(model, batch, loss_grid, mode="train", update_stats=Non
     return float(losses.mean())
 
 
-def identity_baseline(batch, family, loss_grid, grid_n=3):
-    ident = geometry.params_from_vector(
-        family, geometry.identity_vector(family, grid_n), grid_n
-    )
-    vals = [geometry.tgd_value(ident, gt, loss_grid) for _, _, gt in batch]
-    return float(np.mean(vals))
-
-
-def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
-    """Run the self-supervised loop; returns (model, history, val_batches)."""
+def train(config: TrainConfig, log_fn=None):
+    """Run the self-supervised loop; returns (model, history, val_batch)."""
     rng = np.random.default_rng(config.seed)
-    corpus = images if images is not None else build_corpus(config, rng)
+    corpus = build_corpus(config, rng)
     # held-out split by index partition: last 10% of the corpus is validation
     n_val = max(1, len(corpus) // 10)
     train_images = corpus[:-n_val]
@@ -276,7 +265,7 @@ def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
     provider = build_provider(config, channels=corpus[0].shape[0])
     model = AttentiveAlignmentModel(config.model_config())
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    loss_grid = geometry.make_regular_grid(loss_grid_n)
+    loss_grid = geometry.make_regular_grid(20)
 
     history = []
     initial_loss = None
@@ -307,39 +296,30 @@ def train(config: TrainConfig, images=None, log_fn=None, loss_grid_n=20):
     return model, history, val_batch
 
 
-def evaluate_tgd(model, batch, loss_grid_n=20):
-    """Mean grid distance of model predictions on prepared (f_src, f_trg, gt) triples."""
-    loss_grid = geometry.make_regular_grid(loss_grid_n)
-    f_src = np.stack([b[0] for b in batch])
-    f_trg = np.stack([b[1] for b in batch])
-    theta_vecs, state = model.forward_features(f_src, f_trg, mode="eval")
-    vals = []
-    for i, (_, _, theta_gt) in enumerate(batch):
-        theta = model.theta_params(theta_vecs[i])
-        vals.append(geometry.tgd_value(theta, theta_gt, loss_grid))
-    return float(np.mean(vals)), state
+def evaluate_tgd(thetas, batch):
+    """Mean grid distance of the transforms `thetas`, one per pair, to the
+    batch's ground truths. Identity transforms give the identity baseline."""
+    loss_grid = geometry.make_regular_grid(20)
+    return float(np.mean([geometry.tgd_value(theta, theta_gt, loss_grid)
+                          for theta, (_, _, theta_gt) in zip(thetas, batch, strict=True)]))
 
 
-def evaluate_pck_synthetic(model, batch, alpha=0.1, image_hw=(32, 32), n_keypoints=10,
-                           seed=0, inject_gt=False):
-    """PCK on synthetic keypoint sets: target keypoints are the ground-truth
-    transform of random source keypoints. inject_gt replaces the model's
-    prediction with the ground truth (oracle check)."""
+def evaluate_pck_synthetic(thetas, batch, alpha=0.1, image_hw=(32, 32), seed=0):
+    """PCK of the transforms `thetas`, one per pair, on synthetic keypoint
+    sets: target keypoints are the ground-truth transform of 10 random source
+    keypoints per pair."""
     rng = np.random.default_rng(seed)
     pairs = {}
     predicted = {}
-    f_src = np.stack([b[0] for b in batch])
-    f_trg = np.stack([b[1] for b in batch])
-    theta_vecs, _ = model.forward_features(f_src, f_trg, mode="eval")
     h_img, w_img = image_hw
-    for i, (_, _, theta_gt) in enumerate(batch):
+    for i, (theta, (_, _, theta_gt)) in enumerate(zip(thetas, batch, strict=True)):
         src_pix = np.stack(
-            [rng.uniform(0, w_img - 1, n_keypoints), rng.uniform(0, h_img - 1, n_keypoints)],
+            [rng.uniform(0, w_img - 1, 10), rng.uniform(0, h_img - 1, 10)],
             axis=1,
         )
         src_norm = geometry.normalize_points(src_pix, image_hw)
         trg_pix = geometry.denormalize_points(theta_gt.transform(src_norm), image_hw)
         pid = f"pair{i}"
         pairs[pid] = {"src": src_pix, "trg": trg_pix, "bbox_h": float(h_img), "bbox_w": float(w_img)}
-        predicted[pid] = theta_gt if inject_gt else model.theta_params(theta_vecs[i])
+        predicted[pid] = theta
     return geometry.pck(pairs, predicted, alpha, image_hw)

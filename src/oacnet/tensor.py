@@ -1,5 +1,5 @@
 """Dense-array substrate: parameters, the differentiable ops the network needs,
-finite-difference checking, and ADAM.
+and ADAM.
 
 All arrays are float64, row-major. Every op validates its output for NaN/Inf.
 Contractions are written as the matmul, operand order and memory layouts
@@ -82,18 +82,16 @@ def l2_normalize_channels(x, epsilon=1e-8):
 # Convolution (cross-correlation, no kernel flip)
 
 
-def conv2d_forward(x, w, b, padding=0):
-    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv plus optional zero pad."""
+def conv2d_forward(x, w, b):
+    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv."""
     B, cin, H, W = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"kernel must be square with odd size, got {k}x{k2}")
     if cin != cin_w:
         raise ShapeError(f"input channels {cin} != weight channels {cin_w}")
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    Ho = x.shape[2] - k + 1
-    Wo = x.shape[3] - k + 1
+    Ho = H - k + 1
+    Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
@@ -104,18 +102,18 @@ def conv2d_forward(x, w, b, padding=0):
     assert_finite(out, "conv2d output")
     # a k x k conv keeps its im2col matrix for the weight gradient; a 1x1
     # conv's is a transposed copy of x, cheaper to rebuild than to hold
-    return out, (x, w, padding, cols if k > 1 else None)
+    return out, (x, w, cols if k > 1 else None)
 
 
 def conv2d_backward(cache, gout):
-    x_pad, w, padding, cols = cache
+    x, w, cols = cache
     cout, cin, k, _ = w.shape
     B, _, Ho, Wo = gout.shape
     g = gout.transpose(1, 0, 2, 3).reshape(cout, B * Ho * Wo)
     if cols is None:
         # the 1x1 im2col as channels-last x: given a transposed view of cols,
         # the small 1x1 GEMMs and the single-output GEMV round differently
-        x_cols = x_pad.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, cin)
+        x_cols = x.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, cin)
     else:
         x_cols = cols.T
     gw = (g @ x_cols).reshape(w.shape)
@@ -126,19 +124,15 @@ def conv2d_backward(cache, gout):
     # contiguous values
     g_hwb = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(cout, Ho * Wo * B)
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # k, k, Cin, Cout
-    acc = np.zeros((cin,) + x_pad.shape[2:] + (B,))
+    acc = np.zeros((cin,) + x.shape[2:] + (B,))
     tap = np.empty((cin, Ho * Wo * B))
     tap_chwb = tap.reshape(cin, Ho, Wo, B)
     for i in range(k):
         for j in range(k):
             np.matmul(w_taps[i, j], g_hwb, out=tap)
             acc[:, i : i + Ho, j : j + Wo] += tap_chwb
-    gx_pad = np.empty_like(x_pad)  # x_pad's memory layout, which later reductions follow
-    gx_pad[...] = acc.transpose(3, 0, 1, 2)
-    if padding:
-        gx = gx_pad[:, :, padding:-padding, padding:-padding]
-    else:
-        gx = gx_pad
+    gx = np.empty_like(x)  # x's memory layout, which later reductions follow
+    gx[...] = acc.transpose(3, 0, 1, 2)
     return gx, gw, gb
 
 
@@ -263,49 +257,3 @@ class Adam:
             p.value -= step
             assert_finite(p.value, f"parameter {p.name} after ADAM step")
             p.zero_grad()
-
-    def state_tensors(self):
-        out = []
-        for i, p in enumerate(self.params):
-            out.append((f"adam_m/{p.name}", self.m[i]))
-            out.append((f"adam_v/{p.name}", self.v[i]))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-
-
-def grad_check(loss_fn, params, step=1e-5, max_entries=24, seed=0, denom_floor=1e-4):
-    """Compare analytic gradients to central finite differences.
-
-    loss_fn(compute_grads) must return a scalar loss and, when compute_grads is
-    True, leave each parameter's gradient populated. Checks a deterministic
-    sample of entries per parameter and reports the max relative error.
-    """
-    for p in params:
-        p.zero_grad()
-    loss_fn(True)
-    analytic = [p.grad.copy() for p in params]
-    rng = np.random.default_rng(seed)
-    report = {}
-    for p, ga in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        n = flat.size
-        idx = np.arange(n) if n <= max_entries else rng.choice(n, size=max_entries, replace=False)
-        worst = 0.0
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_fn(False)
-            flat[i] = orig - step
-            lm = loss_fn(False)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * step)
-            a = ga.reshape(-1)[i]
-            err = abs(a - fd) / max(abs(a), abs(fd), denom_floor)
-            worst = max(worst, err)
-        report[p.name or repr(p)] = worst
-    for p in params:
-        p.zero_grad()
-    return report

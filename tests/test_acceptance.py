@@ -11,7 +11,9 @@ import pytest
 from oacnet import correlation as corr
 from oacnet import geometry, pipeline, storage
 from oacnet.network import AttentiveAlignmentModel, ModelConfig
-from oacnet.tensor import grad_check, l2_normalize_channels
+from oacnet.tensor import l2_normalize_channels
+
+from gradcheck import grad_check
 
 
 @contextmanager
@@ -251,7 +253,6 @@ def test_criterion_5_geometry_identities():
 def test_criterion_6_desk_scale_learning():
     with criterion(6, "desk-scale self-supervised learning"):
         t0 = time.perf_counter()
-        grid = geometry.make_regular_grid(20)
         ratios = {}
         for seed in (0, 1, 2):
             config = pipeline.TrainConfig(batch_size=16, seed=seed)
@@ -259,8 +260,11 @@ def test_criterion_6_desk_scale_learning():
             assert config.learning_rate == 2e-4
             assert (config.feature_dim, config.feature_h, config.feature_w) == (16, 8, 8)
             model, history, val_batch = pipeline.train(config)
-            val_tgd, _ = pipeline.evaluate_tgd(model, val_batch)
-            baseline = pipeline.identity_baseline(val_batch, config.family, grid)
+            theta_vecs, _ = pipeline.predict(model, val_batch)
+            val_tgd = pipeline.evaluate_tgd([model.theta_params(v) for v in theta_vecs],
+                                            val_batch)
+            baseline = pipeline.evaluate_tgd(
+                [geometry.AffineParams.identity()] * len(val_batch), val_batch)
             ratios[seed] = val_tgd / baseline
         elapsed = time.perf_counter() - t0
         print(f"  held-out TGD / identity baseline per seed: "
@@ -278,9 +282,11 @@ def test_criterion_7_pck_oracle():
             g_hidden=4, g_out=4, s_hidden=4, corpus_size=12, seed=0,
         )
         model, _, val_batch = pipeline.train(config)
-        assert pipeline.evaluate_pck_synthetic(model, val_batch, alpha=0.1,
-                                               inject_gt=True) == 1.0
-        vals = [pipeline.evaluate_pck_synthetic(model, val_batch, alpha=a)
+        assert pipeline.evaluate_pck_synthetic([gt for _, _, gt in val_batch], val_batch,
+                                               alpha=0.1) == 1.0
+        theta_vecs, _ = pipeline.predict(model, val_batch)
+        thetas = [model.theta_params(v) for v in theta_vecs]
+        vals = [pipeline.evaluate_pck_synthetic(thetas, val_batch, alpha=a)
                 for a in (0.05, 0.1, 0.15)]
         assert vals[0] <= vals[1] <= vals[2], vals
 

@@ -83,6 +83,21 @@ class TestTrainCommand:
         assert_one_line_error(capsys, "bad config", "tps_grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,fragment", [
+        ({"family": "bogus"}, "unknown family 'bogus'"),
+        ({"feature_h": "4", "feature_w": "4"}, "smaller than the encoder kernel"),
+        ({"oac_path": "dircet"}, "oac_path must be"),
+    ], ids=["family", "grid-below-kernel", "oac-path"])
+    def test_bad_model_config_exits_1_before_output(self, overrides, fragment, tmp_path,
+                                                    capsys):
+        config = write_config(tmp_path / "m.cfg", **overrides)
+        out = tmp_path / "out"
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: bad config: ") and err.count("\n") == 1, err
+        assert fragment in err
+        assert stdout == "" and not out.exists()
+
     def test_smoke_run_emits_artifacts(self, trained_dir, capsys):
         assert (trained_dir / "loss.csv").is_file()
         assert (trained_dir / "checkpoint" / "manifest.txt").is_file()
@@ -290,9 +305,11 @@ class TestEvalCommand:
         for image in images:
             pair = pipeline.generate_pair(image, tconf.family, pad, rng, grid_n=tconf.tps_grid)
             batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
-        mean_tgd, _ = pipeline.evaluate_tgd(model, batch)
+        theta_vecs, _ = pipeline.predict(model, batch)
+        thetas = [model.theta_params(v) for v in theta_vecs]
+        mean_tgd = pipeline.evaluate_tgd(thetas, batch)
         pck = pipeline.evaluate_pck_synthetic(
-            model, batch, alpha=0.1, image_hw=(tconf.image_size, tconf.image_size), seed=2)
+            thetas, batch, alpha=0.1, image_hw=(tconf.image_size, tconf.image_size), seed=2)
         assert f"mean TGD over 5 synthetic pairs: {mean_tgd:.6f}\n" in out
         assert f"PCK(alpha=0.1): {pck:.4f}\n" in out
 
@@ -303,6 +320,28 @@ class TestEvalCommand:
         for (fs, ft, gt), (rs, rt, rgt) in zip(built, batch, strict=True):
             assert fs.tobytes() == rs.tobytes() and ft.tobytes() == rt.tobytes()
             assert gt.theta.tobytes() == rgt.theta.tobytes()
+
+    def test_checkpoint_mode_runs_one_forward(self, trained_dir, monkeypatch, capsys):
+        calls = []
+        forward = AttentiveAlignmentModel.forward_features
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(AttentiveAlignmentModel, "forward_features", counted)
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--pairs", "3"]) == 0
+        assert len(calls) == 1 and calls[0][0] == 3
+
+    def test_bad_oac_path_in_checkpoint_exits_1(self, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        config = run / "checkpoint" / "config.txt"
+        text = config.read_text()
+        assert "oac_path = reordered\n" in text
+        config.write_text(text.replace("oac_path = reordered\n", "oac_path = dircet\n"))
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
+        assert_one_line_error(capsys, "oac_path must be 'direct' or 'reordered', got 'dircet'")
 
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1

@@ -20,7 +20,9 @@ from oacnet.geometry import (
     tgd,
     tgd_value,
 )
-from oacnet.tensor import NumericError, Parameter, grad_check
+from oacnet.tensor import NumericError, Parameter
+
+from gradcheck import grad_check
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from oacnet.tensor import (
     Parameter,
     ShapeError,
     conv2d_forward,
-    grad_check,
     l2_normalize_channels,
     relu_forward,
 )
+
+from gradcheck import grad_check
 
 
 def tiny_config(**overrides):
@@ -57,6 +58,12 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="tps_grid"):
             ModelConfig.from_dict({"family": "tps", "D": "8", "H": "8", "W": "8",
                                    "tps_grid": grid})
+
+    def test_unknown_oac_path_rejected(self):
+        with pytest.raises(ValueError, match="oac_path"):
+            ModelConfig(oac_path="bogus")
+        with pytest.raises(ValueError, match="oac_path"):
+            ModelConfig.from_dict({"D": "8", "H": "8", "W": "8", "oac_path": "dircet"})
 
     def test_round_trip_through_lines(self):
         cfg = tiny_config(family="tps", oac_path="reordered")
