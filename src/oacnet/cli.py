@@ -90,16 +90,9 @@ def cmd_check_equiv(args):
         f_src = np.abs(rng.standard_normal((3, H, W)))
         f_trg = np.abs(rng.standard_normal((3, H, W)))
         c = corr.normalize_correlation(corr.correlation_map(f_src, f_trg))
-        bank = corr.OacKernelBank(N, H, W, rng=rng)
-        if args.corrupt_layout:
-            # negative-control hook: break the offset-channel flattening
-            bank.weights.value = bank.weights.value[:, :, ::-1].copy()
-            h1, cache1 = corr.oac_forward_direct(c, bank)
-            bank.weights.value = bank.weights.value[:, :, ::-1].copy()
-            h2, cache2 = corr.oac_forward_reordered(c, bank)
-        else:
-            h1, cache1 = corr.oac_forward_direct(c, bank)
-            h2, cache2 = corr.oac_forward_reordered(c, bank)
+        bank = corr.OacKernelBank(N, H, W, rng)
+        h1, cache1 = corr.oac_forward_direct(c, bank)
+        h2, cache2 = corr.oac_forward_reordered(c, bank)
         g = rng.standard_normal(h1.shape)
         results = []
         for h, cache, backward in ((h1, cache1, corr.oac_backward_direct),
@@ -124,7 +117,7 @@ def cmd_bench(args):
     _print_config({"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((H * W, H, W))
-    bank = corr.OacKernelBank(N, H, W, rng=rng)
+    bank = corr.OacKernelBank(N, H, W, rng)
     g = rng.standard_normal((N, H, W))
     report = {}
     for path, fwd, bwd in (
@@ -284,7 +277,6 @@ def build_parser():
     p.add_argument("--dims", default="4x4x2", help="HxWxN")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-layout", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_check_equiv)
 
     p = sub.add_parser("bench", help="multiply counts and wall time for both kernel paths")

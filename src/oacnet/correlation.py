@@ -136,24 +136,19 @@ def inverse_reorder(r, H, W):
 
 
 class OacKernelBank:
-    """N offset-indexed kernels plus an optional per-kernel bias."""
+    """N offset-indexed kernels, He-uniform from rng, plus a per-kernel bias,
+    zero-initialized."""
 
-    def __init__(self, N, H, W, rng=None, use_bias=True, prefix="oac"):
+    def __init__(self, N, H, W, rng):
         self.N = N
         self.H = H
         self.W = W
-        self.use_bias = use_bias
         shape = (N, 2 * H - 1, 2 * W - 1)
-        fan_in = shape[1] * shape[2]
-        if rng is None:
-            weights = np.zeros(shape)
-        else:
-            weights = he_uniform(rng, shape, fan_in)
-        self.weights = Parameter(weights, f"{prefix}.weights")
-        self.bias = Parameter(np.zeros(N), f"{prefix}.bias")
+        self.weights = Parameter(he_uniform(rng, shape, shape[1] * shape[2]), "oac.weights")
+        self.bias = Parameter(np.zeros(N), "oac.bias")
 
     def parameters(self):
-        return [self.weights, self.bias] if self.use_bias else [self.weights]
+        return [self.weights, self.bias]
 
     def check_dims(self, H, W):
         if (H, W) != (self.H, self.W):
@@ -181,8 +176,7 @@ def _column_strips(bank, H, W):
 
 def _bias_relu(pre, bank):
     """Both paths' epilogue: adds the bias into pre in place, returns relu(pre)."""
-    if bank.use_bias:
-        pre += bank.bias.value[None, :, None, None]
+    pre += bank.bias.value[None, :, None, None]
     h = np.maximum(pre, 0.0)
     assert_finite(h, "displacement map")
     return h
@@ -192,8 +186,7 @@ def _bias_relu_backward(pre, bank, grad_h):
     """The epilogue's backward: accumulates the bias gradient, returns dpre."""
     grad_h, _ = _as_batched(grad_h)
     dpre = grad_h * (pre > 0.0)
-    if bank.use_bias:
-        bank.bias.grad += dpre.sum(axis=(0, 2, 3))
+    bank.bias.grad += dpre.sum(axis=(0, 2, 3))
     return dpre
 
 

@@ -349,10 +349,13 @@ def mirror_pad(image, pad):
     return np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
 
+BORDER_PROBE_POINTS = 41  # per edge of the crop
+
+
 @functools.lru_cache(maxsize=None)
-def _border_probe(n_probe):
-    """Read-only (4*n_probe, 2) points along the four edges of [-1,1]^2."""
-    ts = np.linspace(-1.0, 1.0, n_probe)
+def _border_probe():
+    """Read-only (4*BORDER_PROBE_POINTS, 2) points along the four edges of [-1,1]^2."""
+    ts = np.linspace(-1.0, 1.0, BORDER_PROBE_POINTS)
     border = np.concatenate(
         [
             np.stack([ts, np.full_like(ts, -1.0)], axis=1),
@@ -365,9 +368,9 @@ def _border_probe(n_probe):
     return border
 
 
-def max_border_displacement(theta, n_probe=41):
+def max_border_displacement(theta):
     """Largest |T(g) - g| (per axis, normalized units) over the crop border."""
-    mapped = theta.transform(_border_probe(n_probe))
+    mapped = theta.transform(_border_probe())
     over = np.maximum(np.abs(mapped) - 1.0, 0.0)
     return float(over.max())
 

@@ -44,16 +44,19 @@ class ModelConfig(storage.ConfigCodec):
     g_hidden: int = 128
     g_out: int = 128
     s_hidden: int = 64
-    embed_dim: int = 5
-    oac_bias: bool = True
     oac_path: str = "direct"  # direct | reordered
     tps_grid: int = 3
     seed: int = 0
 
     # spatial size after the 7x7 valid conv
     enc_kernel: int = field(default=7, init=False)
+    # width of the learned per-location index embedding that G consumes
+    embed_dim: int = field(default=5, init=False)
 
     def __post_init__(self):
+        for key in ("D", "N", "encoder_channels", "g_hidden", "g_out", "s_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.family not in ("affine", "tps"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.tps_grid < 2:
@@ -87,9 +90,9 @@ class ConvBNReLU:
     def parameters(self):
         return [self.w, self.b] + self.bn.parameters()
 
-    def forward(self, x, mode, update_stats):
+    def forward(self, x, mode):
         z, conv_cache = conv2d_forward(x, self.w.value, self.b.value)
-        zn, bn_cache = self.bn.forward(z, mode, update_stats)
+        zn, bn_cache = self.bn.forward(z, mode)
         out, relu_cache = relu_forward(zn)
         return out, (conv_cache, bn_cache, relu_cache)
 
@@ -109,7 +112,7 @@ class AttentiveAlignmentModel:
         self.config = config
         cfg = config
         rng = np.random.default_rng(cfg.seed)
-        self.bank = corr.OacKernelBank(cfg.N, cfg.H, cfg.W, rng=rng, use_bias=cfg.oac_bias)
+        self.bank = corr.OacKernelBank(cfg.N, cfg.H, cfg.W, rng)
         self.counter = corr.MultiplyCounter()
 
         # layers draw their weights from rng in this order
@@ -156,24 +159,23 @@ class AttentiveAlignmentModel:
 
     # -- forward --------------------------------------------------------------
 
-    def forward_features(self, f_src, f_trg, mode="eval", update_stats=None):
-        """Full pipeline from L2-normalized feature maps; accepts batched or single."""
+    def forward_features(self, f_src, f_trg, mode="eval"):
+        """Full pipeline from L2-normalized feature maps; accepts batched or single.
+        A train-mode forward updates the batch norms' running statistics."""
         single = f_src.ndim == 3
         if single:
             f_src = f_src[None]
             f_trg = f_trg[None]
         c = corr.correlation_map(f_src, f_trg)
         c = corr.normalize_correlation(c)
-        theta_vecs, state = self.forward_correlation(c, mode, update_stats)
+        theta_vecs, state = self.forward_correlation(c, mode)
         if single:
             return theta_vecs[0], state
         return theta_vecs, state
 
-    def forward_correlation(self, c, mode="eval", update_stats=None):
+    def forward_correlation(self, c, mode="eval"):
         """From a normalized correlation map (B, HW, H, W) to theta vectors (B, Q)."""
         cfg = self.config
-        if update_stats is None:
-            update_stats = mode == "train"
         B = c.shape[0]
         self._cache = None  # a previous forward's caches go before this one's layers allocate
 
@@ -181,10 +183,10 @@ class AttentiveAlignmentModel:
             h, oac_cache = corr.oac_forward_direct(c, self.bank, self.counter)
         else:
             h, oac_cache = corr.oac_forward_reordered(c, self.bank, self.counter)
-        F, enc_cache = self.encoder.forward(h, mode, update_stats)  # (B, ec, Hh, Wh)
+        F, enc_cache = self.encoder.forward(h, mode)  # (B, ec, Hh, Wh)
 
         # S branch
-        s1a, s1_cache = self.s1.forward(F, mode, update_stats)
+        s1a, s1_cache = self.s1.forward(F, mode)
         scores, s2_cache = conv2d_forward(s1a, self.s2_w.value, np.zeros(1))
         alpha, sm_cache = spatial_softmax_forward(scores)  # (B,1,Hh,Wh)
 
@@ -192,8 +194,8 @@ class AttentiveAlignmentModel:
         emb = self.embedding.value.T.reshape(1, cfg.embed_dim, cfg.Hh, cfg.Wh)
         emb_b = np.broadcast_to(emb, (B, cfg.embed_dim, cfg.Hh, cfg.Wh))
         g_in = np.concatenate([F, emb_b], axis=1)
-        g1a, g1_cache = self.g1.forward(g_in, mode, update_stats)
-        g2a, g2_cache = self.g2.forward(g1a, mode, update_stats)  # (B, g_out, Hh, Wh)
+        g1a, g1_cache = self.g1.forward(g_in, mode)
+        g2a, g2_cache = self.g2.forward(g1a, mode)  # (B, g_out, Hh, Wh)
 
         # sum over locations of g2a weighted by alpha, as one batched matmul
         g2a_t = g2a.transpose(0, 2, 3, 1).reshape(B, cfg.Hh * cfg.Wh, cfg.g_out)

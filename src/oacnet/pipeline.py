@@ -144,7 +144,6 @@ class TrainConfig(storage.ConfigCodec):
     steps_per_epoch: int = 40
     family: str = "affine"
     seed: int = 0
-    provider: str = "random_projection"
     feature_dim: int = 16
     feature_h: int = 8
     feature_w: int = 8
@@ -196,8 +195,6 @@ def build_corpus(config, rng):
 
 
 def build_provider(config, channels=None):
-    if config.provider != "random_projection":
-        raise ValueError(f"unknown provider {config.provider!r}")
     return RandomProjectionProvider(
         config.feature_dim, config.feature_h, config.feature_w,
         channels=config.image_channels if channels is None else channels,

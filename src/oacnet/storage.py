@@ -127,18 +127,12 @@ def load_config_file(path, allowed_keys=None):
         return parse_config_text(f.read(), allowed_keys=allowed_keys)
 
 
-def _parse_bool(text):
-    if text not in ("true", "false"):
-        raise ValueError(text)
-    return text == "true"
-
-
-_VALUE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+_VALUE_PARSERS = {int: int, float: float, str: str}
 
 
 class ConfigCodec:
     """Flat `key = value` form of a config dataclass, derived from the declared
-    type (int, float, str or bool) of each field set through __init__."""
+    type (int, float or str) of each field set through __init__."""
 
     @classmethod
     def _field_types(cls):
@@ -146,11 +140,7 @@ class ConfigCodec:
         return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
     def to_lines(self):
-        lines = []
-        for key in self._field_types():
-            value = getattr(self, key)
-            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
-        return lines
+        return [f"{key} = {getattr(self, key)}" for key in self._field_types()]
 
     @classmethod
     def from_dict(cls, d):

@@ -60,6 +60,8 @@ def he_uniform(rng, shape, fan_in):
 # ---------------------------------------------------------------------------
 # Elementwise
 
+L2_NORM_FLOOR = 1e-8
+
 
 def relu_forward(x):
     out = np.maximum(x, 0.0)
@@ -70,12 +72,12 @@ def relu_backward(cache, gout):
     return gout * cache
 
 
-def l2_normalize_channels(x, epsilon=1e-8):
+def l2_normalize_channels(x):
     """Normalize each channel-vector (axis 0 of a C,H,W map or axis 1 of B,C,H,W)."""
     x = np.asarray(x, dtype=np.float64)
     axis = 0 if x.ndim == 3 else 1
     norms = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
-    return x / np.maximum(norms, epsilon)
+    return x / np.maximum(norms, L2_NORM_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +141,32 @@ def conv2d_backward(cache, gout):
 # ---------------------------------------------------------------------------
 # Batch normalization
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class BatchNorm:
     """Per-channel batch norm over (batch, spatial) for B,C,H,W inputs.
 
-    Eval before any train-mode update is an error: it surfaces pipelines that
-    never ran a training step but expect meaningful running statistics.
+    A train-mode forward also updates the running statistics. Eval before any
+    train-mode update is an error: it surfaces pipelines that never ran a
+    training step but expect meaningful running statistics.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, prefix=""):
+    def __init__(self, channels, prefix=""):
         self.gamma = Parameter(np.ones(channels), f"{prefix}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{prefix}.beta")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self.num_updates = 0
 
-    def forward(self, x, mode, update_stats=True):
+    def forward(self, x, mode):
         if mode == "train":
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            if update_stats:
-                m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mean
-                self.running_var = (1 - m) * self.running_var + m * var
-                self.num_updates += 1
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
+            self.num_updates += 1
         elif mode == "eval":
             if self.num_updates == 0:
                 raise NumericError(
@@ -174,7 +176,7 @@ class BatchNorm:
             var = self.running_var
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
         cache = (xhat, inv_std, mode)
@@ -224,16 +226,17 @@ def spatial_softmax_backward(cache, gout):
 # ---------------------------------------------------------------------------
 # ADAM
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Adam:
     """Standard ADAM with bias correction; zeroes gradients after each step."""
 
-    def __init__(self, params, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=2e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -244,14 +247,14 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; in place, same rounding
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            step = m / (1 - self.beta1**t)
-            denom = v / (1 - self.beta2**t)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            step = m / (1 - ADAM_BETA1**t)
+            denom = v / (1 - ADAM_BETA2**t)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             step *= self.lr
             step /= denom
             p.value -= step

@@ -1,7 +1,23 @@
 """Finite-difference gradient checking for the tests: each layer's hand-written
 backward is compared against central differences of its forward."""
 
+from contextlib import contextmanager
+
 import numpy as np
+
+
+@contextmanager
+def bn_stats_restored(batch_norms):
+    """Puts back each batch norm's running statistics and update count after
+    the body: every train-mode forward updates them, and a finite-difference
+    check runs the forward many times."""
+    saved = [(bn.running_mean.copy(), bn.running_var.copy(), bn.num_updates)
+             for bn in batch_norms]
+    try:
+        yield
+    finally:
+        for bn, (mean, var, n) in zip(batch_norms, saved):
+            bn.running_mean, bn.running_var, bn.num_updates = mean, var, n
 
 
 def grad_check(loss_fn, params, step=1e-5, max_entries=24, seed=0, denom_floor=1e-4):

@@ -13,7 +13,7 @@ from oacnet import geometry, pipeline, storage
 from oacnet.network import AttentiveAlignmentModel, ModelConfig
 from oacnet.tensor import l2_normalize_channels
 
-from gradcheck import grad_check
+from gradcheck import bn_stats_restored, grad_check
 
 
 @contextmanager
@@ -39,7 +39,7 @@ def test_criterion_1_kernel_path_equivalence():
             f_src = l2_normalize_channels(rng.standard_normal((3, H, W)))
             f_trg = l2_normalize_channels(rng.standard_normal((3, H, W)))
             c = corr.normalize_correlation(corr.correlation_map(f_src, f_trg))
-            bank = corr.OacKernelBank(N, H, W, rng=rng)
+            bank = corr.OacKernelBank(N, H, W, rng)
             h1, cache1 = corr.oac_forward_direct(c, bank)
             h2, cache2 = corr.oac_forward_reordered(c, bank)
             worst_out = max(worst_out, float(np.abs(h1 - h2).max()))
@@ -64,7 +64,7 @@ def test_criterion_2_multiplication_counts():
         for H, W, N in ((4, 4, 2), (8, 8, 16), (15, 15, 128)):
             rng = np.random.default_rng(H + N)
             c = rng.standard_normal((H * W, H, W))
-            bank = corr.OacKernelBank(N, H, W, rng=rng)
+            bank = corr.OacKernelBank(N, H, W, rng)
             for path, fn in (("direct", corr.oac_forward_direct),
                              ("reordered", corr.oac_forward_reordered)):
                 counter = corr.MultiplyCounter()
@@ -109,17 +109,18 @@ def test_criterion_3_gradient_integrity():
         projb = rng.standard_normal(xb.shape)
 
         def bn_loss(compute_grads):
-            out, cache = bn.forward(xb, "train", update_stats=False)
+            out, cache = bn.forward(xb, "train")
             if compute_grads:
                 bn.backward(cache, projb)
             return float((out * projb).sum())
 
-        report = grad_check(bn_loss, bn.parameters())
+        with bn_stats_restored([bn]):
+            report = grad_check(bn_loss, bn.parameters())
         assert max(report.values()) <= 1e-4, report
 
         # offset-indexed kernel bank
         H = W = 5
-        bank = corr.OacKernelBank(3, H, W, rng=rng)
+        bank = corr.OacKernelBank(3, H, W, rng)
         c = corr.normalize_correlation(corr.correlation_map(
             l2_normalize_channels(rng.standard_normal((4, H, W))),
             l2_normalize_channels(rng.standard_normal((4, H, W))),
@@ -180,8 +181,7 @@ def test_criterion_3_gradient_integrity():
         gt = geometry.sample_random_transform("affine", rng_e2e)
 
         def model_loss(compute_grads):
-            theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train",
-                                                   update_stats=False)
+            theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
             total = 0.0
             dtheta = np.zeros_like(theta_vecs)
             for i in range(theta_vecs.shape[0]):
@@ -192,7 +192,8 @@ def test_criterion_3_gradient_integrity():
                 model.backward(dtheta / theta_vecs.shape[0])
             return total / theta_vecs.shape[0]
 
-        report = grad_check(model_loss, model.parameters(), max_entries=6)
+        with bn_stats_restored(model.batch_norms()):
+            report = grad_check(model_loss, model.parameters(), max_entries=6)
         for group_name, params in model.parameter_groups():
             worst = max(report[p.name] for p in params)
             assert worst <= 1e-4, (group_name, worst)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oacnet import cli, geometry, pipeline, storage
+from oacnet import correlation as corr
 from oacnet.cli import main
 from oacnet.network import AttentiveAlignmentModel
 
@@ -63,11 +64,14 @@ class TestTrainCommand:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("learning_rate = 0.1\nwarmup = 5\n")
-        code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert "bad config" in capsys.readouterr().err
+        # provider is a constant, not a key: a file that holds it is refused
+        for key, value in (("warmup", "5"), ("provider", "random_projection")):
+            config = tmp_path / "bad.cfg"
+            config.write_text(f"learning_rate = 0.1\n{key} = {value}\n")
+            code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+            assert code == 1
+            assert_one_line_error(capsys, "bad config", f"unknown key '{key}'")
+            assert not (tmp_path / "out").exists()
 
     def test_bad_feature_grid_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path / "grid.cfg", feature_h="5")
@@ -87,7 +91,12 @@ class TestTrainCommand:
         ({"family": "bogus"}, "unknown family 'bogus'"),
         ({"feature_h": "4", "feature_w": "4"}, "smaller than the encoder kernel"),
         ({"oac_path": "dircet"}, "oac_path must be"),
-    ], ids=["family", "grid-below-kernel", "oac-path"])
+        ({"encoder_channels": "0"}, "encoder_channels must be >= 1, got 0"),
+        ({"g_hidden": "0"}, "g_hidden must be >= 1, got 0"),
+        ({"s_hidden": "0"}, "s_hidden must be >= 1, got 0"),
+        ({"g_out": "-1"}, "g_out must be >= 1, got -1"),
+    ], ids=["family", "grid-below-kernel", "oac-path", "encoder-channels", "g-hidden",
+            "s-hidden", "g-out"])
     def test_bad_model_config_exits_1_before_output(self, overrides, fragment, tmp_path,
                                                     capsys):
         config = write_config(tmp_path / "m.cfg", **overrides)
@@ -158,11 +167,29 @@ class TestCheckEquivCommand:
     def test_degenerate_dims_pass(self, capsys):
         assert main(["check-equiv", "--dims", "1x1x1", "--trials", "5"]) == 0
 
-    def test_corrupted_layout_fails(self, capsys):
-        code = main(["check-equiv", "--dims", "4x4x2", "--trials", "5",
-                     "--corrupt-layout"])
-        assert code == 2
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupted_layout_fails(self, monkeypatch, capsys):
+        # negative control: the direct path reads the bank with its offset
+        # columns reversed; the same harness without the flip must pass
+        forward = corr.oac_forward_direct
+
+        def check_equiv(flip):
+            def direct(c, bank, counter=None):
+                weights = bank.weights.value
+                if flip:
+                    bank.weights.value = weights[:, :, ::-1].copy()
+                try:
+                    return forward(c, bank, counter)
+                finally:
+                    bank.weights.value = weights
+
+            monkeypatch.setattr(corr, "oac_forward_direct", direct)
+            code = main(["check-equiv", "--dims", "4x4x2", "--trials", "5"])
+            return code, capsys.readouterr().out
+
+        code, out = check_equiv(flip=False)
+        assert code == 0 and "PASS" in out
+        code, out = check_equiv(flip=True)
+        assert code == 2 and "FAIL" in out
 
     def test_bad_dims_exits_1(self, capsys):
         for argv in (["--dims", "4by4"], ["--dims", "0x4x2"], ["--dims", "4x4x0"],
@@ -343,6 +370,15 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
         assert_one_line_error(capsys, "oac_path must be 'direct' or 'reordered', got 'dircet'")
 
+    @pytest.mark.parametrize("line", ["oac_bias = true", "embed_dim = 5"])
+    def test_removed_key_in_checkpoint_exits_1(self, line, trained_dir, tmp_path, capsys):
+        # oac_bias and embed_dim are constants, not keys: a checkpoint that holds one is refused
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        with open(run / "checkpoint" / "config.txt", "a") as f:
+            f.write(line + "\n")
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
+        assert_one_line_error(capsys, "unknown", f"key '{line.split()[0]}'")
+
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
 
@@ -411,15 +447,17 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):
-        run = shutil.copytree(trained_dir, tmp_path / "run")
-        with open(run / "train_config.txt", "a") as f:
-            f.write("warmup = 5\n")
-        argv = [command, "--checkpoint", str(run / "checkpoint")]
-        if command == "warp":
-            src, _ = save_ramp(tmp_path / "in.pgm")
-            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
-        assert main(argv) == 1
-        assert_one_line_error(capsys, "warmup")
+        # provider is a constant, not a key: a file that holds it is refused
+        for i, line in enumerate(["warmup = 5", "provider = random_projection"]):
+            run = shutil.copytree(trained_dir, tmp_path / f"run{i}")
+            with open(run / "train_config.txt", "a") as f:
+                f.write(line + "\n")
+            argv = [command, "--checkpoint", str(run / "checkpoint")]
+            if command == "warp":
+                src, _ = save_ramp(tmp_path / "in.pgm")
+                argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+            assert main(argv) == 1
+            assert_one_line_error(capsys, "unknown", f"key '{line.split()[0]}'")
 
 
 # ---------------------------------------------------------------------------

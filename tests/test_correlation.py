@@ -34,7 +34,7 @@ def oac_reference(c, bank):
     for n in range(bank.N):
         for i in range(H):
             for j in range(W):
-                acc = bank.bias.value[n] if bank.use_bias else 0.0
+                acc = bank.bias.value[n]
                 for k in range(H):
                     for l in range(W):
                         acc += w[n, i - k + H - 1, j - l + W - 1] * c[k * W + l, i, j]
@@ -43,7 +43,13 @@ def oac_reference(c, bank):
 
 
 def random_bank(N, H, W, seed):
-    return OacKernelBank(N, H, W, rng=np.random.default_rng(seed))
+    return OacKernelBank(N, H, W, np.random.default_rng(seed))
+
+
+def zero_bank(N, H, W):
+    bank = random_bank(N, H, W, seed=0)
+    bank.weights.value[...] = 0.0
+    return bank
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +213,7 @@ class TestOacForward:
         rng = np.random.default_rng(4)
         H = W = 3
         c = rng.standard_normal((H * W, H, W))
-        bank = OacKernelBank(1, H, W)  # zero weights
+        bank = zero_bank(1, H, W)
         bank.weights.value[0, H - 1, W - 1] = 1.0  # w_{0,0}
         h, _ = oac_forward_direct(c, bank)
         for i in range(H):
@@ -218,7 +224,7 @@ class TestOacForward:
         # w_{0,0} pairs source (0,0) with target (0,0) and source (0,1) with
         # target (0,1): one weight, one offset, every source location
         H = W = 2
-        bank = OacKernelBank(1, H, W)
+        bank = zero_bank(1, H, W)
         bank.weights.value[0, H - 1, W - 1] = 1.0
         c = np.zeros((4, 2, 2))
         c[0, 0, 0] = 0.5  # source (0,0) x target (0,0)
@@ -243,7 +249,7 @@ class TestOacForward:
         assert np.allclose(h, oac_reference(c, bank), atol=1e-12)
 
     def test_zero_weight_bank_gives_relu_bias(self):
-        bank = OacKernelBank(2, 3, 3)
+        bank = zero_bank(2, 3, 3)
         bank.bias.value[...] = [0.4, -0.2]
         c = np.random.default_rng(9).standard_normal((9, 3, 3))
         h, _ = oac_forward_reordered(c, bank)
@@ -251,7 +257,7 @@ class TestOacForward:
         assert np.allclose(h[1], 0.0)
 
     def test_dimension_mismatch_rejected(self):
-        bank = OacKernelBank(1, 3, 3)
+        bank = zero_bank(1, 3, 3)
         with pytest.raises(ShapeError):
             oac_forward_direct(np.zeros((16, 4, 4)), bank)
 
@@ -273,7 +279,6 @@ class TestOacForward:
         H = W = 4
         f = rng.standard_normal((6, H, W))
         bank = random_bank(2, H, W, seed=11)
-        bank.use_bias = False
 
         def run(fs, ft):
             h, _ = oac_forward_direct(correlation_map(fs, ft), bank)
@@ -313,8 +318,7 @@ class TestOacBackward:
         H = W = 3
         rng = np.random.default_rng(14)
         c = np.abs(rng.standard_normal((9, 3, 3)))  # positive -> ReLU passes
-        bank = OacKernelBank(1, H, W)
-        bank.weights.value[...] = 0.0
+        bank = zero_bank(1, H, W)
         bank.bias.value[...] = 1.0  # keep pre-activation positive
         _, cache = oac_forward_direct(c, bank)
         g = np.zeros((1, 3, 3))

@@ -364,7 +364,7 @@ class TestSamplerEquivalence:
                 bilinear_warp(img, AffineParams([1e300] * 6))
 
     def test_cached_grids_are_read_only(self):
-        probe = geometry._border_probe(41)
+        probe = geometry._border_probe()
         grid = geometry._crop_grid(8, 8)
         for arr in (probe, grid):
             with pytest.raises(ValueError):
@@ -376,7 +376,7 @@ class TestSamplerEquivalence:
         solver = geometry._TpsSolver.get(grid_n)
         rng = np.random.default_rng(grid_n)
         theta = TpsParams(0.1 * rng.standard_normal(2 * grid_n * grid_n), grid_n)
-        for pts in (geometry._crop_grid(32, 32), geometry._border_probe(41)):
+        for pts in (geometry._crop_grid(32, 32), geometry._border_probe()):
             fresh = geometry._TpsSolver(grid_n).basis(pts.copy())
             for _ in range(2):  # the computing call, then the cached one
                 cached = solver.cached_basis(pts)

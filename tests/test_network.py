@@ -17,7 +17,7 @@ from oacnet.tensor import (
     relu_forward,
 )
 
-from gradcheck import grad_check
+from gradcheck import bn_stats_restored, grad_check
 
 
 def tiny_config(**overrides):
@@ -76,7 +76,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("oac_bias", "TRUE"), ("oac_bias", "yes"), ("oac_bias", "1"), ("N", "4x8"),
-        ("N", "8.0"), ("embedding_kind", "learned"),
+        ("N", "8.0"), ("embedding_kind", "learned"), ("oac_bias", "true"), ("embed_dim", "5"),
     ])
     def test_bad_values_rejected(self, key, value):
         with pytest.raises(storage.StorageError, match=key):
@@ -106,7 +106,7 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         h = np.abs(rng.standard_normal((2, cfg.N, cfg.H, cfg.W)))
         z, _ = conv2d_forward(h, model.encoder.w.value, model.encoder.b.value)
-        zn, _ = model.encoder.bn.forward(z, "train", update_stats=False)
+        zn, _ = model.encoder.bn.forward(z, "train")
         ref, _ = relu_forward(zn)
         # drive the same tensors through the model's forward path
         c = np.zeros((2, cfg.H * cfg.W, cfg.H, cfg.W))
@@ -117,7 +117,7 @@ class TestEncoder:
             (2, cfg.N, cfg.H, cfg.W),
         )
         z0, _ = conv2d_forward(h_zero, model.encoder.w.value, model.encoder.b.value)
-        zn0, _ = model.encoder.bn.forward(z0, "train", update_stats=False)
+        zn0, _ = model.encoder.bn.forward(z0, "train")
         ref0, _ = relu_forward(zn0)
         assert np.allclose(model._cache["F"], ref0, atol=1e-12)
         assert ref.shape == (2, cfg.encoder_channels, cfg.Hh, cfg.Wh)
@@ -265,9 +265,7 @@ class TestForward:
         grid = geometry.make_regular_grid(10)
 
         def loss_fn(compute_grads):
-            theta_vecs, _ = model.forward_features(
-                f_src, f_trg, mode="train", update_stats=False
-            )
+            theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
             total = 0.0
             dtheta = np.zeros_like(theta_vecs)
             for i in range(theta_vecs.shape[0]):
@@ -278,7 +276,8 @@ class TestForward:
                 model.backward(dtheta / theta_vecs.shape[0])
             return total / theta_vecs.shape[0]
 
-        report = grad_check(loss_fn, model.parameters(), max_entries=6)
+        with bn_stats_restored(model.batch_norms()):
+            report = grad_check(loss_fn, model.parameters(), max_entries=6)
         assert max(report.values()) < 1e-4, report
 
 

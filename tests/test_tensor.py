@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from oacnet.tensor import (
+    BN_EPS,
     Adam,
     BatchNorm,
     NumericError,
@@ -22,7 +23,7 @@ from oacnet.tensor import (
     spatial_softmax_forward,
 )
 
-from gradcheck import grad_check
+from gradcheck import bn_stats_restored, grad_check
 
 
 def conv2d_reference(x, w, b):
@@ -237,9 +238,9 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((64, 3, 4, 4))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-        bn = BatchNorm(3, eps=0.0)
+        bn = BatchNorm(3)
         out, _ = bn.forward(x, "train")
-        assert np.allclose(out, x, atol=1e-10)
+        assert np.allclose(out, x / np.sqrt(1.0 + BN_EPS), atol=1e-10)
 
     def test_gamma_zero_gives_beta(self):
         bn = BatchNorm(2)
@@ -272,13 +273,17 @@ class TestBatchNorm:
         out_eval, _ = bn.forward(x, "eval")
         assert np.all(np.isfinite(out_eval))
 
-    def test_update_stats_flag_is_side_effect_free(self):
+    def test_running_stats_update_only_in_train_mode(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm(2)
         bn.forward(rng.standard_normal((4, 2, 3, 3)), "train")
         mean_before = bn.running_mean.copy()
-        bn.forward(rng.standard_normal((4, 2, 3, 3)), "train", update_stats=False)
-        assert np.array_equal(bn.running_mean, mean_before)
+        bn.forward(rng.standard_normal((4, 2, 3, 3)), "eval")
+        assert np.array_equal(bn.running_mean, mean_before) and bn.num_updates == 1
+        with bn_stats_restored([bn]):
+            bn.forward(rng.standard_normal((4, 2, 3, 3)), "train")
+            assert not np.array_equal(bn.running_mean, mean_before) and bn.num_updates == 2
+        assert np.array_equal(bn.running_mean, mean_before) and bn.num_updates == 1
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
@@ -289,12 +294,13 @@ class TestBatchNorm:
         proj = rng.standard_normal(x.shape)
 
         def loss_fn(compute_grads):
-            out, cache = bn.forward(x, "train", update_stats=False)
+            out, cache = bn.forward(x, "train")
             if compute_grads:
                 bn.backward(cache, proj)
             return float(np.sum(out * proj))
 
-        report = grad_check(loss_fn, [bn.gamma, bn.beta])
+        with bn_stats_restored([bn]):
+            report = grad_check(loss_fn, [bn.gamma, bn.beta])
         assert max(report.values()) < 1e-4
 
     def test_input_gradient(self):
@@ -304,12 +310,13 @@ class TestBatchNorm:
         proj = rng.standard_normal(xp.shape)
 
         def loss_fn(compute_grads):
-            out, cache = bn.forward(xp.value, "train", update_stats=False)
+            out, cache = bn.forward(xp.value, "train")
             if compute_grads:
                 xp.grad += bn.backward(cache, proj)
             return float(np.sum(out * proj))
 
-        report = grad_check(loss_fn, [xp])
+        with bn_stats_restored([bn]):
+            report = grad_check(loss_fn, [xp])
         assert max(report.values()) < 1e-4
 
 
