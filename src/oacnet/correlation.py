@@ -25,10 +25,10 @@ then runs a dense 1x1 convolution over it. It deliberately keeps the dense
 model (including multiplies by structural zeros) so it can serve as the slow
 oracle and the cost-model foil.
 
-Both backward passes take `input_grad`. With True (the default, used by the
-equivalence checks and the bench) they also return the gradient for the raw
-correlation map. Training passes False: the feature extractor is frozen, so
-nothing reads that gradient, and the backward stops at the bank's parameters.
+Every function takes batched maps, with a leading batch axis B. Both backward
+passes stop at the bank's parameters and return None: the feature extractor
+is frozen and the correlation layer has no parameters, so nothing reads a
+gradient for the correlation map.
 """
 
 from __future__ import annotations
@@ -68,23 +68,17 @@ def count_nonzero_offset_entries(H, W, N):
     return N * H * H * W * W
 
 
-def _as_batched(x):
-    return (x[None], True) if x.ndim == 3 else (x, False)
-
-
 def correlation_map(f_src, f_trg):
     """All-pairs dot products: output channel k*W+l at (i,j) is
-    <f_src[:,i,j], f_trg[:,k,l]>. Accepts (D,H,W) or (B,D,H,W)."""
+    <f_src[:,i,j], f_trg[:,k,l]>, both maps (B,D,H,W)."""
     if f_src.shape != f_trg.shape:
         raise ShapeError(f"feature shapes differ: {f_src.shape} vs {f_trg.shape}")
-    f_src, single = _as_batched(f_src)
-    f_trg, _ = _as_batched(f_trg)
     B, D, H, W = f_src.shape
     # per sample, (target locations, D) @ (D, source locations)
     trg = f_trg.transpose(0, 2, 3, 1).reshape(B, H * W, D)
     c = (trg @ f_src.reshape(B, D, H * W)).reshape(B, H * W, H, W)
     assert_finite(c, "correlation map")
-    return c[0] if single else c
+    return c
 
 
 def normalize_correlation(c):
@@ -108,7 +102,6 @@ def reorder_by_offset(c):
     flipped offset grid, the window the direct path reads its weights from;
     offsets with no target stay zero. The result is a (B, n_off, H, W) view of
     channels-last memory."""
-    c, single = _as_batched(c)
     B, HW, H, W = c.shape
     if HW != H * W:
         raise ShapeError(f"channel count {HW} != H*W = {H * W}")
@@ -117,22 +110,7 @@ def reorder_by_offset(c):
     c = c.reshape(B, HW, HW)
     for ij, win in _window_slices(H, W):
         flipped[(slice(None), ij) + win] = c[:, :, ij].reshape(B, H, W)
-    r = r.reshape(B, H, W, -1).transpose(0, 3, 1, 2)
-    return r[0] if single else r
-
-
-def inverse_reorder(r, H, W):
-    """Recover the absolute-indexed map from a reordered one: each source
-    location reads back its window. This is the adjoint of reorder_by_offset's
-    write, so it also carries gradients back into the raw map."""
-    r, single = _as_batched(r)
-    B = r.shape[0]
-    flipped = r.transpose(0, 2, 3, 1).reshape(B, H * W, 2 * H - 1, 2 * W - 1)[:, :, ::-1, ::-1]
-    c = np.empty((B, H * W, H * W))
-    for ij, win in _window_slices(H, W):
-        c[:, :, ij] = flipped[(slice(None), ij) + win].reshape(B, H * W)
-    c = c.reshape(B, H * W, H, W)
-    return c[0] if single else c
+    return r.reshape(B, H, W, -1).transpose(0, 3, 1, 2)
 
 
 class OacKernelBank:
@@ -184,7 +162,6 @@ def _bias_relu(pre, bank):
 
 def _bias_relu_backward(pre, bank, grad_h):
     """The epilogue's backward: accumulates the bias gradient, returns dpre."""
-    grad_h, _ = _as_batched(grad_h)
     dpre = grad_h * (pre > 0.0)
     bank.bias.grad += dpre.sum(axis=(0, 2, 3))
     return dpre
@@ -199,7 +176,6 @@ def oac_forward_direct(c, bank, counter=None):
     bank. One stacked matmul per source column runs the column's H GEMMs on
     the windows of its strip (`_column_strips`), so no window is copied.
     """
-    c, single = _as_batched(c)
     B, HW, H, W = c.shape
     bank.check_dims(H, W)
     C = np.ascontiguousarray(c.reshape(B, HW, HW).transpose(2, 0, 1))  # [ij, b, kl]
@@ -209,14 +185,12 @@ def oac_forward_direct(c, bank, counter=None):
     if counter is not None:
         counter.add(B * bank.N * H * W * H * W)
     pre = np.ascontiguousarray(t.reshape(H, W, B, bank.N).transpose(2, 3, 0, 1))
-    h = _bias_relu(pre, bank)
-    return (h[0] if single else h), (C, pre)
+    return _bias_relu(pre, bank), (C, pre)
 
 
-def oac_backward_direct(cache, bank, grad_h, input_grad=True):
-    """Exact gradients of the direct formulation: accumulates into the bank's
-    parameters and returns the gradient for the raw map, or None when
-    input_grad is False (then the bank's weights are not read).
+def oac_backward_direct(cache, bank, grad_h):
+    """Exact parameter gradients of the direct formulation, accumulated into
+    the bank; returns None.
 
     The weight gradient sums C[ij].T @ D[ij] into each location's window.
     Source row i's W windows share their H rows of the flipped grid, so one
@@ -241,17 +215,10 @@ def oac_backward_direct(cache, bank, grad_h, input_grad=True):
             np.matmul(skew.reshape(W * B, -1).T, D_row, out=dfw_rows)
             dfw[rows] += dfw_rows.reshape(H, 2 * W - 1, N)
     bank.weights.grad += dfw[::-1, ::-1].transpose(2, 0, 1)
-    if not input_grad:
-        return None
-    dC = np.empty_like(C)
-    for col, windows in _column_strips(bank, H, W):
-        np.matmul(D[col], windows.transpose(0, 2, 1), out=dC[col])
-    return np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, H * W, H, W)
 
 
 def oac_forward_reordered(c, bank, counter=None):
     """Reorder by offset, then a dense 1x1 convolution with the flattened bank."""
-    c, single = _as_batched(c)
     B, HW, H, W = c.shape
     bank.check_dims(H, W)
     r = reorder_by_offset(c)
@@ -261,21 +228,15 @@ def oac_forward_reordered(c, bank, counter=None):
     pre = pre.reshape(B, H, W, bank.N).transpose(0, 3, 1, 2)
     if counter is not None:
         counter.add(B * bank.N * (2 * H - 1) * (2 * W - 1) * H * W)
-    h = _bias_relu(pre, bank)
-    return (h[0] if single else h), (r, pre, (H, W))
+    return _bias_relu(pre, bank), (r, pre)
 
 
-def oac_backward_reordered(cache, bank, grad_h, input_grad=True):
-    """Exact gradients of the reordered formulation: accumulates into the
-    bank's parameters and returns the gradient for the raw map, or None when
-    input_grad is False."""
-    r, pre, (H, W) = cache
+def oac_backward_reordered(cache, bank, grad_h):
+    """Exact parameter gradients of the reordered formulation, accumulated
+    into the bank; returns None."""
+    r, pre = cache
     dpre = _bias_relu_backward(pre, bank, grad_h)
-    B, N = dpre.shape[:2]
+    B, N, H, W = dpre.shape
     d = dpre.transpose(0, 2, 3, 1).reshape(B * H * W, N)
     r_t = r.transpose(1, 0, 2, 3).reshape(-1, B * H * W)
     bank.weights.grad += (r_t @ d).T.reshape(N, 2 * H - 1, 2 * W - 1)
-    if not input_grad:
-        return None
-    dr = d @ bank.weights.value.reshape(N, -1)
-    return inverse_reorder(dr.reshape(B, H, W, -1).transpose(0, 3, 1, 2), H, W)

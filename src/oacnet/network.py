@@ -245,9 +245,9 @@ class AttentiveAlignmentModel:
 
         dh = self.encoder.backward(cache.pop("encoder"), dF)
         if self.config.oac_path == "direct":
-            corr.oac_backward_direct(cache.pop("oac"), self.bank, dh, input_grad=False)
+            corr.oac_backward_direct(cache.pop("oac"), self.bank, dh)
         else:
-            corr.oac_backward_reordered(cache.pop("oac"), self.bank, dh, input_grad=False)
+            corr.oac_backward_reordered(cache.pop("oac"), self.bank, dh)
 
     def theta_params(self, theta_vec):
         return geometry.params_from_vector(self.config.family, theta_vec, self.config.tps_grid)

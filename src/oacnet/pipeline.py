@@ -165,8 +165,11 @@ class TrainConfig(storage.ConfigCodec):
                   "image_size", "image_channels", "corpus_size"):
             if getattr(self, k) <= 0:
                 raise ValueError(f"{k} must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.image_size % self.feature_h or self.image_size % self.feature_w:
             raise ValueError(f"image_size {self.image_size} not divisible by the "
                              f"{self.feature_h}x{self.feature_w} feature grid")

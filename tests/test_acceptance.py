@@ -36,8 +36,8 @@ def test_criterion_1_kernel_path_equivalence():
             H = int(rng.integers(2, 7))
             W = int(rng.integers(2, 7))
             N = int(rng.integers(1, 5))
-            f_src = l2_normalize_channels(rng.standard_normal((3, H, W)))
-            f_trg = l2_normalize_channels(rng.standard_normal((3, H, W)))
+            f_src = l2_normalize_channels(rng.standard_normal((1, 3, H, W)))
+            f_trg = l2_normalize_channels(rng.standard_normal((1, 3, H, W)))
             c = corr.normalize_correlation(corr.correlation_map(f_src, f_trg))
             bank = corr.OacKernelBank(N, H, W, rng)
             h1, cache1 = corr.oac_forward_direct(c, bank)
@@ -63,7 +63,7 @@ def test_criterion_2_multiplication_counts():
         t0 = time.perf_counter()
         for H, W, N in ((4, 4, 2), (8, 8, 16), (15, 15, 128)):
             rng = np.random.default_rng(H + N)
-            c = rng.standard_normal((H * W, H, W))
+            c = rng.standard_normal((1, H * W, H, W))
             bank = corr.OacKernelBank(N, H, W, rng)
             for path, fn in (("direct", corr.oac_forward_direct),
                              ("reordered", corr.oac_forward_reordered)):
@@ -122,10 +122,10 @@ def test_criterion_3_gradient_integrity():
         H = W = 5
         bank = corr.OacKernelBank(3, H, W, rng)
         c = corr.normalize_correlation(corr.correlation_map(
-            l2_normalize_channels(rng.standard_normal((4, H, W))),
-            l2_normalize_channels(rng.standard_normal((4, H, W))),
+            l2_normalize_channels(rng.standard_normal((1, 4, H, W))),
+            l2_normalize_channels(rng.standard_normal((1, 4, H, W))),
         ))
-        projo = rng.standard_normal((3, H, W))
+        projo = rng.standard_normal((1, 3, H, W))
 
         def oac_loss(compute_grads):
             h, cache = corr.oac_forward_direct(c, bank)
@@ -207,17 +207,17 @@ def test_criterion_4_paper_scale_shape_chain():
         rng = np.random.default_rng(0)
         f_src = l2_normalize_channels(rng.standard_normal((512, 15, 15)))
         f_trg = l2_normalize_channels(rng.standard_normal((512, 15, 15)))
-        c = corr.normalize_correlation(corr.correlation_map(f_src, f_trg))
-        assert c.shape == (225, 15, 15)
+        c = corr.normalize_correlation(corr.correlation_map(f_src[None], f_trg[None]))
+        assert c.shape == (1, 225, 15, 15)
         r = corr.reorder_by_offset(c)
-        assert r.shape == (841, 15, 15)
+        assert r.shape == (1, 841, 15, 15)
         for family, theta_size in (("affine", 6), ("tps", 18)):
             cfg = ModelConfig(family=family, D=512, H=15, W=15, N=128,
                               encoder_channels=128, g_hidden=128, g_out=128,
                               s_hidden=64, seed=0)
             model = AttentiveAlignmentModel(cfg)
             bank_h, _ = corr.oac_forward_direct(c, model.bank)
-            assert bank_h.shape == (128, 15, 15)
+            assert bank_h.shape == (1, 128, 15, 15)
             theta_vec, state = model.forward_features(f_src, f_trg, mode="train")
             assert state.F.shape == (1, 128, 9, 9)
             assert state.alpha.shape == (1, 1, 9, 9)       # 81 probabilities

@@ -13,7 +13,6 @@ from oacnet.correlation import (
     correlation_map,
     count_multiplications,
     count_nonzero_offset_entries,
-    inverse_reorder,
     normalize_correlation,
     oac_backward_direct,
     oac_backward_reordered,
@@ -27,7 +26,8 @@ from gradcheck import grad_check
 
 
 def oac_reference(c, bank):
-    """Quadruple-loop evaluation of the offset-weighted sum (the defining form)."""
+    """Quadruple-loop evaluation of the offset-weighted sum (the defining form)
+    on one unbatched (HW, H, W) map."""
     HW, H, W = c.shape
     w = bank.weights.value
     out = np.zeros((bank.N, H, W))
@@ -65,7 +65,7 @@ class TestCorrelationMap:
         for i in range(H):
             for j in range(W):
                 f[i * W + j, i, j] = 1.0
-        c = correlation_map(f, f)
+        c = correlation_map(f[None], f[None])[0]
         for i in range(H):
             for j in range(W):
                 for k in range(H):
@@ -84,7 +84,7 @@ class TestCorrelationMap:
         f_trg[3, 1, 1] = 1.0
         f_src = np.zeros((D, 2, 2))
         f_src[0, :, :] = 1.0  # every source location matches target (0,0)
-        c = correlation_map(f_src, f_trg)
+        c = correlation_map(f_src[None], f_trg[None])[0]
         # at source (0,0) the unit correlation sits at channel 0 = zero offset;
         # at source (0,1) the same channel encodes a move left
         assert np.allclose(c[:, 0, 0], [1, 0, 0, 0])
@@ -94,7 +94,7 @@ class TestCorrelationMap:
         rng = np.random.default_rng(0)
         f_src = rng.standard_normal((3, 2, 2))
         f_trg = rng.standard_normal((3, 2, 2))
-        c = correlation_map(f_src, f_trg)
+        c = correlation_map(f_src[None], f_trg[None])[0]
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -104,12 +104,12 @@ class TestCorrelationMap:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            correlation_map(np.zeros((3, 2, 2)), np.zeros((3, 3, 3)))
+            correlation_map(np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 3, 3)))
 
     def test_normalized_features_bound_correlations(self):
         rng = np.random.default_rng(1)
-        f_src = l2_normalize_channels(rng.standard_normal((8, 4, 4)))
-        f_trg = l2_normalize_channels(rng.standard_normal((8, 4, 4)))
+        f_src = l2_normalize_channels(rng.standard_normal((1, 8, 4, 4)))
+        f_trg = l2_normalize_channels(rng.standard_normal((1, 8, 4, 4)))
         c = correlation_map(f_src, f_trg)
         assert np.all(c >= -1.0 - 1e-12)
         assert np.all(c <= 1.0 + 1e-12)
@@ -142,32 +142,25 @@ class TestNormalizeCorrelation:
 
 class TestReorderByOffset:
     def test_channel_count_at_paper_scale(self):
-        c = np.zeros((225, 15, 15))
+        c = np.zeros((1, 225, 15, 15))
         r = reorder_by_offset(c)
-        assert r.shape == (841, 15, 15)
+        assert r.shape == (1, 841, 15, 15)
 
     def test_zero_offset_channel_placement(self):
         # unit correlation with target (0,0) at source (0,0) lands in the
         # zero-offset channel
         H = W = 2
-        c = np.zeros((4, 2, 2))
-        c[0, 0, 0] = 1.0
+        c = np.zeros((1, 4, 2, 2))
+        c[0, 0, 0, 0] = 1.0
         r = reorder_by_offset(c)
         zero_off = (0 + H - 1) * (2 * W - 1) + (0 + W - 1)
-        assert r[zero_off, 0, 0] == 1.0
+        assert r[0, zero_off, 0, 0] == 1.0
         assert np.sum(r) == 1.0
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal((2, 4, 2, 2))
-        r = reorder_by_offset(c)
-        back = inverse_reorder(r, 2, 2)
-        assert np.array_equal(back, c)
 
     def test_structural_zeros(self):
         H = W = 3
-        c = np.ones((9, 3, 3))
-        r = reorder_by_offset(c)
+        c = np.ones((1, 9, 3, 3))
+        r = reorder_by_offset(c)[0]
         for s in range(-(H - 1), H):
             for t in range(-(W - 1), W):
                 ch = (s + H - 1) * (2 * W - 1) + (t + W - 1)
@@ -193,15 +186,6 @@ class TestReorderByOffset:
         r = reorder_by_offset(c)
         assert np.array_equal(r, ref)
         assert r.transpose(0, 2, 3, 1).flags.c_contiguous
-        assert np.array_equal(reorder_by_offset(c[0]), ref[0])
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=20, deadline=None)
-    def test_round_trip_property(self, seed, B, H, W):
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal((B, H * W, H, W))
-        assert np.array_equal(inverse_reorder(reorder_by_offset(c), H, W), c)
-        assert np.array_equal(inverse_reorder(reorder_by_offset(c[0]), H, W), c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +196,13 @@ class TestOacForward:
     def test_delta_kernel_reads_self_position(self):
         rng = np.random.default_rng(4)
         H = W = 3
-        c = rng.standard_normal((H * W, H, W))
+        c = rng.standard_normal((1, H * W, H, W))
         bank = zero_bank(1, H, W)
         bank.weights.value[0, H - 1, W - 1] = 1.0  # w_{0,0}
         h, _ = oac_forward_direct(c, bank)
         for i in range(H):
             for j in range(W):
-                assert np.isclose(h[0, i, j], max(c[i * W + j, i, j], 0.0), atol=1e-14)
+                assert np.isclose(h[0, 0, i, j], max(c[0, i * W + j, i, j], 0.0), atol=1e-14)
 
     def test_offset_weight_shared_across_sources(self):
         # w_{0,0} pairs source (0,0) with target (0,0) and source (0,1) with
@@ -226,47 +210,47 @@ class TestOacForward:
         H = W = 2
         bank = zero_bank(1, H, W)
         bank.weights.value[0, H - 1, W - 1] = 1.0
-        c = np.zeros((4, 2, 2))
-        c[0, 0, 0] = 0.5  # source (0,0) x target (0,0)
-        c[1, 0, 1] = 0.7  # source (0,1) x target (0,1)
+        c = np.zeros((1, 4, 2, 2))
+        c[0, 0, 0, 0] = 0.5  # source (0,0) x target (0,0)
+        c[0, 1, 0, 1] = 0.7  # source (0,1) x target (0,1)
         h, _ = oac_forward_direct(c, bank)
-        assert np.isclose(h[0, 0, 0], 0.5)
-        assert np.isclose(h[0, 0, 1], 0.7)
+        assert np.isclose(h[0, 0, 0, 0], 0.5)
+        assert np.isclose(h[0, 0, 0, 1], 0.7)
 
     def test_matches_quadruple_loop_reference(self):
         rng = np.random.default_rng(5)
-        c = rng.standard_normal((9, 3, 3))
+        c = rng.standard_normal((1, 9, 3, 3))
         bank = random_bank(2, 3, 3, seed=6)
         bank.bias.value[...] = rng.standard_normal(2)
         h, _ = oac_forward_direct(c, bank)
-        assert np.allclose(h, oac_reference(c, bank), atol=1e-12)
+        assert np.allclose(h[0], oac_reference(c[0], bank), atol=1e-12)
 
     def test_reordered_matches_reference(self):
         rng = np.random.default_rng(7)
-        c = rng.standard_normal((16, 4, 4))
+        c = rng.standard_normal((1, 16, 4, 4))
         bank = random_bank(3, 4, 4, seed=8)
         h, _ = oac_forward_reordered(c, bank)
-        assert np.allclose(h, oac_reference(c, bank), atol=1e-12)
+        assert np.allclose(h[0], oac_reference(c[0], bank), atol=1e-12)
 
     def test_zero_weight_bank_gives_relu_bias(self):
         bank = zero_bank(2, 3, 3)
         bank.bias.value[...] = [0.4, -0.2]
-        c = np.random.default_rng(9).standard_normal((9, 3, 3))
+        c = np.random.default_rng(9).standard_normal((1, 9, 3, 3))
         h, _ = oac_forward_reordered(c, bank)
-        assert np.allclose(h[0], 0.4)
-        assert np.allclose(h[1], 0.0)
+        assert np.allclose(h[0, 0], 0.4)
+        assert np.allclose(h[0, 1], 0.0)
 
     def test_dimension_mismatch_rejected(self):
         bank = zero_bank(1, 3, 3)
         with pytest.raises(ShapeError):
-            oac_forward_direct(np.zeros((16, 4, 4)), bank)
+            oac_forward_direct(np.zeros((1, 16, 4, 4)), bank)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6),
            st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_equivalence_property(self, seed, H, W, N):
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal((H * W, H, W))
+        c = rng.standard_normal((1, H * W, H, W))
         bank = random_bank(N, H, W, seed=seed ^ 0xABCD)
         bank.bias.value[...] = rng.standard_normal(N)
         hd, _ = oac_forward_direct(c, bank)
@@ -277,7 +261,7 @@ class TestOacForward:
         # rolling toroidal features rolls the output identically
         rng = np.random.default_rng(10)
         H = W = 4
-        f = rng.standard_normal((6, H, W))
+        f = rng.standard_normal((1, 6, H, W))
         bank = random_bank(2, H, W, seed=11)
 
         def run(fs, ft):
@@ -286,14 +270,14 @@ class TestOacForward:
 
         base = run(f, f)
         for di, dj in [(1, 0), (0, 2), (2, 3)]:
-            rolled = np.roll(f, (di, dj), axis=(1, 2))
+            rolled = np.roll(f, (di, dj), axis=(2, 3))
             out = run(rolled, rolled)
             # wrap-around pairs leave the valid window, so compare the
             # displacement channel of matching interior positions instead of
             # demanding global equality: the zero-offset (self) correlations
             # are preserved under a common roll
-            c_base = correlation_map(f, f)
-            c_roll = correlation_map(rolled, rolled)
+            c_base = correlation_map(f, f)[0]
+            c_roll = correlation_map(rolled, rolled)[0]
             for i in range(H):
                 for j in range(W):
                     ii, jj = (i + di) % H, (j + dj) % W
@@ -306,28 +290,27 @@ class TestOacForward:
 class TestOacBackward:
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(12)
-        c = rng.standard_normal((9, 3, 3))
+        c = rng.standard_normal((1, 9, 3, 3))
         bank = random_bank(2, 3, 3, seed=13)
         _, cache = oac_forward_direct(c, bank)
-        dc = oac_backward_direct(cache, bank, np.zeros((2, 3, 3)))
+        assert oac_backward_direct(cache, bank, np.zeros((1, 2, 3, 3))) is None
         assert np.array_equal(bank.weights.grad, np.zeros_like(bank.weights.grad))
-        assert np.array_equal(dc, np.zeros((1, 9, 3, 3)))
 
     def test_single_location_weight_gradient(self):
         # upstream 1 at (n,i,j)=(0,1,1): dL/dw_{s,t} = c_{1-s, 1-t; 1,1}
         H = W = 3
         rng = np.random.default_rng(14)
-        c = np.abs(rng.standard_normal((9, 3, 3)))  # positive -> ReLU passes
+        c = np.abs(rng.standard_normal((1, 9, 3, 3)))  # positive -> ReLU passes
         bank = zero_bank(1, H, W)
         bank.bias.value[...] = 1.0  # keep pre-activation positive
         _, cache = oac_forward_direct(c, bank)
-        g = np.zeros((1, 3, 3))
-        g[0, 1, 1] = 1.0
+        g = np.zeros((1, 1, 3, 3))
+        g[0, 0, 1, 1] = 1.0
         oac_backward_direct(cache, bank, g)
         for s in range(-2, 3):
             for t in range(-2, 3):
                 k, l = 1 - s, 1 - t
-                expected = c[k * W + l, 1, 1] if 0 <= k < H and 0 <= l < W else 0.0
+                expected = c[0, k * W + l, 1, 1] if 0 <= k < H and 0 <= l < W else 0.0
                 assert np.isclose(bank.weights.grad[0, s + 2, t + 2], expected, atol=1e-14)
 
     @pytest.mark.parametrize("forward,backward", [
@@ -336,10 +319,10 @@ class TestOacBackward:
     ])
     def test_finite_difference(self, forward, backward):
         rng = np.random.default_rng(15)
-        c = rng.uniform(-1, 1, (16, 4, 4))
+        c = rng.uniform(-1, 1, (1, 16, 4, 4))
         bank = random_bank(2, 4, 4, seed=16)
         bank.bias.value[...] = rng.uniform(-0.2, 0.2, 2)
-        proj = rng.standard_normal((2, 4, 4))
+        proj = rng.standard_normal((1, 2, 4, 4))
 
         def loss_fn(compute_grads):
             h, cache = forward(c, bank)
@@ -352,18 +335,17 @@ class TestOacBackward:
 
     def test_gradient_equivalence_between_paths(self):
         rng = np.random.default_rng(17)
-        c = rng.standard_normal((25, 5, 5))
-        proj = rng.standard_normal((3, 5, 5))
+        c = rng.standard_normal((1, 25, 5, 5))
+        proj = rng.standard_normal((1, 3, 5, 5))
         grads = []
         for fwd, bwd in [(oac_forward_direct, oac_backward_direct),
                          (oac_forward_reordered, oac_backward_reordered)]:
             bank = random_bank(3, 5, 5, seed=18)
             _, cache = fwd(c, bank)
-            dc = bwd(cache, bank, proj)
-            grads.append((bank.weights.grad.copy(), bank.bias.grad.copy(), dc))
+            bwd(cache, bank, proj)
+            grads.append((bank.weights.grad.copy(), bank.bias.grad.copy()))
         assert np.max(np.abs(grads[0][0] - grads[1][0])) < 1e-8
         assert np.max(np.abs(grads[0][1] - grads[1][1])) < 1e-12
-        assert np.max(np.abs(grads[0][2] - grads[1][2])) < 1e-10
 
     @pytest.mark.parametrize("H,W", [(3, 5), (5, 2), (7, 7)])
     @pytest.mark.parametrize("N", [1, 4])
@@ -378,14 +360,13 @@ class TestOacBackward:
             bank = random_bank(N, H, W, seed=21)
             bank.bias.value[...] = np.linspace(-0.3, 0.3, N)
             h, cache = fwd(c, bank)
-            dc = bwd(cache, bank, proj)
-            results.append((h, bank.weights.grad.copy(), bank.bias.grad.copy(), dc))
-        (hd, gwd, gbd, dcd), (hr, gwr, gbr, dcr) = results
-        assert hd.shape == (B, N, H, W) and dcd.shape == c.shape
+            bwd(cache, bank, proj)
+            results.append((h, bank.weights.grad.copy(), bank.bias.grad.copy()))
+        (hd, gwd, gbd), (hr, gwr, gbr) = results
+        assert hd.shape == (B, N, H, W)
         assert np.max(np.abs(hd - hr)) <= 1e-10
         assert np.max(np.abs(gwd - gwr)) <= 1e-8
         assert np.max(np.abs(gbd - gbr)) <= 1e-12
-        assert np.max(np.abs(dcd - dcr)) <= 1e-10
 
         # a second backward accumulates rather than overwrites
         bank = random_bank(N, H, W, seed=21)
@@ -395,43 +376,31 @@ class TestOacBackward:
         oac_backward_direct(cache, bank, proj)
         assert np.allclose(bank.weights.grad, 2 * once, rtol=0, atol=1e-12)
 
-        # an unbatched map gives the B=1 row of the batched result
-        h1, cache1 = oac_forward_direct(c[1], bank)
-        hb, cacheb = oac_forward_direct(c[1:2], bank)
-        assert h1.shape == (N, H, W)
-        assert np.array_equal(h1, hb[0])
-        assert np.array_equal(oac_backward_direct(cache1, bank, proj[1]),
-                              oac_backward_direct(cacheb, bank, proj[1:2]))
-
-
     @pytest.mark.parametrize("path", ["direct", "reordered"])
     @pytest.mark.parametrize("B", [1, 3])
     def test_parameters_only_backward(self, path, B):
-        """input_grad=False returns None and leaves the parameter gradients
-        byte-equal to the full backward's."""
+        """Both backward passes stop at the bank's parameters: they return
+        None, and their weight and bias gradients match the per-location
+        reference's."""
         fwd, bwd = {"direct": (oac_forward_direct, oac_backward_direct),
                     "reordered": (oac_forward_reordered, oac_backward_reordered)}[path]
         rng = np.random.default_rng(30 + B)
         c = rng.standard_normal((B, 35, 5, 7))
         proj = rng.standard_normal((B, 4, 5, 7))
-        grads = []
-        for input_grad in (True, False):
-            bank = random_bank(4, 5, 7, seed=31)
-            _, cache = fwd(c, bank)
-            dc = bwd(cache, bank, proj, input_grad=input_grad)
-            assert (dc is None) == (not input_grad)
-            grads.append([p.grad.tobytes() for p in bank.parameters()])
-        assert grads[0] == grads[1]
+        bank = random_bank(4, 5, 7, seed=31)
+        bank.bias.value[...] = rng.standard_normal(4)
+        *_, db_ref, dw_ref = direct_per_location(c, bank, proj)
+        _, cache = fwd(c, bank)
+        assert bwd(cache, bank, proj) is None
+        assert np.max(np.abs(bank.weights.grad - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
+        assert np.max(np.abs(bank.bias.grad - db_ref)) <= 1e-12 * np.max(np.abs(db_ref))
 
 
 def direct_per_location(c, bank, g):
     """The direct path as one GEMM per source location on a copied window:
     each location (i, j) copies the weights w[:, i-k+H-1, j-l+W-1] of its
     targets (k, l) into a contiguous (HW, N) matrix and multiplies. Returns
-    h, pre, the raw-map gradient, the bias gradient and the weight gradient."""
-    single = c.ndim == 3
-    c = c[None] if single else c
-    g = g[None] if single else g
+    h, pre, the bias gradient and the weight gradient."""
     B, HW, H, W = c.shape
     N = bank.N
     k, l = np.divmod(np.arange(HW), W)
@@ -447,20 +416,18 @@ def direct_per_location(c, bank, g):
     dpre = g * (pre > 0.0)
     D = np.ascontiguousarray(dpre.transpose(2, 3, 0, 1)).reshape(HW, B, N)
     dw = np.zeros((N, 2 * H - 1, 2 * W - 1))
-    dC = np.empty_like(C)
-    for ij, ((s, t), window) in enumerate(zip(offsets, windows)):
+    for ij, (s, t) in enumerate(offsets):
         dw[:, s, t] += (C[ij].T @ D[ij]).T
-        np.matmul(D[ij], window.T, out=dC[ij])
-    dc = np.ascontiguousarray(dC.transpose(1, 2, 0)).reshape(B, HW, H, W)
-    return (h[0] if single else h), pre, dc, dpre.sum(axis=(0, 2, 3)), dw
+    return h, pre, dpre.sum(axis=(0, 2, 3)), dw
 
 
 class TestDirectPathLayout:
     """The direct path reads its weights in place from column strips and sums
     the weight gradient one source row at a time. Against a per-location
-    reference that copies each window, the forward, the input gradient and
-    the bias gradient are byte-equal (the GEMMs are the same), and the weight
-    gradient, summed in another order, agrees to rounding."""
+    reference that copies each window, the forward and the bias gradient are
+    byte-equal (the GEMMs are the same), and the weight gradient, summed in
+    another order, agrees to rounding. B=None draws one unbatched pair and
+    adds the batch axis at the call site, as a single-pair caller does."""
 
     @pytest.mark.parametrize("B", [None, 1, 3, 8])
     @pytest.mark.parametrize("H,W", [(15, 15), (3, 5), (5, 2), (1, 1)])
@@ -470,25 +437,21 @@ class TestDirectPathLayout:
         lead = () if B is None else (B,)
         c = rng.standard_normal(lead + (H * W, H, W))
         g = rng.standard_normal(lead + (N, H, W))
+        if B is None:
+            c, g = c[None], g[None]
         bank = random_bank(N, H, W, seed=40)
         bank.bias.value[...] = rng.standard_normal(N)
-        h_ref, pre_ref, dc_ref, db_ref, dw_ref = direct_per_location(c, bank, g)
+        h_ref, pre_ref, db_ref, dw_ref = direct_per_location(c, bank, g)
 
         h, cache = oac_forward_direct(c, bank)
-        dc = oac_backward_direct(cache, bank, g)
+        assert oac_backward_direct(cache, bank, g) is None
         pre = cache[1]
-        for got, ref in ((h, h_ref), (pre, pre_ref), (dc, dc_ref)):
+        for got, ref in ((h, h_ref), (pre, pre_ref)):
             assert got.shape == ref.shape and got.strides == ref.strides
             assert got.tobytes() == ref.tobytes()
         assert bank.bias.grad.tobytes() == db_ref.tobytes()
         dw = bank.weights.grad
         assert np.max(np.abs(dw - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
-
-        # the parameters-only backward takes the same weight-gradient sum
-        for p in bank.parameters():
-            p.zero_grad()
-        assert oac_backward_direct(cache, bank, g, input_grad=False) is None
-        assert bank.weights.grad.tobytes() == dw.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +476,7 @@ class TestCountMultiplications:
     @pytest.mark.parametrize("H,W,N", [(4, 4, 2), (8, 8, 16), (15, 15, 128)])
     def test_instrumented_counts_match_formulas(self, H, W, N):
         rng = np.random.default_rng(19)
-        c = rng.standard_normal((H * W, H, W))
+        c = rng.standard_normal((1, H * W, H, W))
         bank = random_bank(N, H, W, seed=20)
         counter = MultiplyCounter()
         oac_forward_direct(c, bank, counter=counter)

@@ -288,38 +288,40 @@ class TestBackward:
     @pytest.mark.parametrize("path", ["direct", "reordered"])
     @pytest.mark.parametrize("B", [1, 3])
     def test_parameter_gradients_match_full_oac_backward(self, path, B, monkeypatch):
+        """The model's backward ends in one call of its path's OAC backward,
+        which returns None, and the bank's gradients match those of the other
+        path run on the same correlation map and upstream gradient."""
         cfg = tiny_config(oac_path=path)
         f_src, f_trg = random_features(cfg, B=B, seed=40)
         rng = np.random.default_rng(41)
-        head = 0.1 * rng.standard_normal((cfg.Q, cfg.g_out))
         dtheta = rng.standard_normal((B, cfg.Q))
+        model = AttentiveAlignmentModel(cfg)
+        # off zero, so gradients reach every branch
+        model.head_w.value[...] = 0.1 * rng.standard_normal((cfg.Q, cfg.g_out))
 
-        def parameter_grads():
-            model = AttentiveAlignmentModel(cfg)
-            model.head_w.value[...] = head  # so gradients reach every branch
-            model.forward_features(f_src, f_trg, mode="train")
-            assert model.backward(dtheta) is None
-            return [p.grad.tobytes() for p in model.parameters()]
+        paths = {"direct": (correlation.oac_forward_direct, correlation.oac_backward_direct),
+                 "reordered": (correlation.oac_forward_reordered,
+                               correlation.oac_backward_reordered)}
+        calls = []  # (path, what the OAC backward returned, its upstream gradient)
+        for name, (_, bwd) in paths.items():
+            def recorded(cache, bank, grad_h, _name=name, _bwd=bwd):
+                calls.append((_name, _bwd(cache, bank, grad_h), grad_h.copy()))
 
-        originals = {name: getattr(correlation, name)
-                     for name in ("oac_backward_direct", "oac_backward_reordered")}
-        calls = []  # (input_grad the model asked for, map gradient returned)
+            monkeypatch.setattr(correlation, f"oac_backward_{name}", recorded)
+        model.forward_features(f_src, f_trg, mode="train")
+        assert model.backward(dtheta) is None
+        [(called, returned, grad_h)] = calls
+        assert called == path and returned is None
 
-        def route_oac_backward(full):
-            for name, bwd in originals.items():
-                def wrapped(cache, bank, grad_h, input_grad=True, _bwd=bwd):
-                    dc = _bwd(cache, bank, grad_h, input_grad=full or input_grad)
-                    calls.append((input_grad, dc))
-
-                monkeypatch.setattr(correlation, name, wrapped)
-
-        route_oac_backward(full=False)
-        lean = parameter_grads()
-        route_oac_backward(full=True)
-        assert parameter_grads() == lean
-        (asked, lean_dc), (_, full_dc) = calls
-        assert asked is False and lean_dc is None
-        assert full_dc.shape == (B, cfg.H * cfg.W, cfg.H, cfg.W)
+        fwd, bwd = paths["reordered" if path == "direct" else "direct"]
+        bank = correlation.OacKernelBank(cfg.N, cfg.H, cfg.W, rng)
+        bank.weights.value[...] = model.bank.weights.value
+        bank.bias.value[...] = model.bank.bias.value
+        c = correlation.normalize_correlation(correlation.correlation_map(f_src, f_trg))
+        _, cache = fwd(c, bank)
+        bwd(cache, bank, grad_h)
+        assert np.max(np.abs(bank.weights.grad - model.bank.weights.grad)) <= 1e-8
+        assert np.max(np.abs(bank.bias.grad - model.bank.bias.grad)) <= 1e-12
 
     def test_no_layer_cache_outlives_backward_or_eval_forward(self):
         cfg = tiny_config()
