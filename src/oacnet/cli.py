@@ -9,7 +9,9 @@ import argparse
 import dataclasses
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -43,6 +45,25 @@ def _parse_dims(text, example):
     return H, W, N
 
 
+def _save_run(out_dir, config, model, history):
+    """Write loss.csv, checkpoint/ and train_config.txt into a temporary
+    sibling of out_dir and rename it into place, so a failed save leaves
+    neither a partial out_dir nor the sibling."""
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    scratch = tempfile.mkdtemp(prefix=".oacnet-train-", dir=parent)
+    # model.save makes `staged` with the usual permissions (mkdtemp's are 0700)
+    staged = os.path.join(scratch, "run")
+    try:
+        model.save(os.path.join(staged, "checkpoint"))
+        storage.save_loss_csv(os.path.join(staged, "loss.csv"), history)
+        with open(os.path.join(staged, "train_config.txt"), "w") as f:
+            f.write("\n".join(config.to_lines()) + "\n")
+        os.replace(staged, out_dir)
+    finally:
+        shutil.rmtree(scratch)
+
+
 def cmd_train(args):
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
@@ -51,9 +72,12 @@ def cmd_train(args):
         config = pipeline.TrainConfig.from_file(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-    except (storage.StorageError, ShapeError, ValueError) as e:
+    except (storage.StorageError, ValueError) as e:
         print(f"error: bad config: {e}", file=sys.stderr)
         return 1
+    if os.path.lexists(args.out_dir) and not (os.path.isdir(args.out_dir)
+                                              and not os.listdir(args.out_dir)):
+        raise ValueError(f"--out-dir {args.out_dir} exists and is not an empty directory")
     _print_config(vars(config))
     print(f"seed: {config.seed}")
     try:
@@ -65,19 +89,14 @@ def cmd_train(args):
     except pipeline.DivergenceError as e:
         print(f"divergence guard tripped: {e}", file=sys.stderr)
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
-    storage.save_loss_csv(os.path.join(args.out_dir, "loss.csv"), history)
-    ckpt_dir = os.path.join(args.out_dir, "checkpoint")
-    model.save(ckpt_dir)
-    with open(os.path.join(args.out_dir, "train_config.txt"), "w") as f:
-        f.write("\n".join(config.to_lines()) + "\n")
+    _save_run(args.out_dir, config, model, history)
     theta_vecs, _ = pipeline.predict(model, val_batch)
     val_tgd = pipeline.evaluate_tgd([model.theta_params(v) for v in theta_vecs], val_batch)
     identity = model.theta_params(model.identity_offset)
     baseline = pipeline.evaluate_tgd([identity] * len(val_batch), val_batch)
     print(f"final train loss: {history[-1][1]:.6f}")
     print(f"validation TGD: {val_tgd:.6f} (identity baseline {baseline:.6f})")
-    print(f"checkpoint: {ckpt_dir}")
+    print(f"checkpoint: {os.path.join(args.out_dir, 'checkpoint')}")
     return 0
 
 
@@ -156,7 +175,8 @@ def cmd_bench(args):
 def _load_checkpoint(path):
     """The model saved at `path` and the training config written beside it."""
     model, _ = AttentiveAlignmentModel.load(path)
-    tconf = pipeline.TrainConfig.from_file(os.path.join(path, "..", "train_config.txt"))
+    tconf = pipeline.TrainConfig.from_file(
+        os.path.normpath(os.path.join(path, "..", "train_config.txt")))
     return model, tconf
 
 

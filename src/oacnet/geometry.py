@@ -33,14 +33,9 @@ class AffineParams:
     def identity_vector():
         return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
-    @property
-    def matrix(self):
-        a11, a12, tx, a21, a22, ty = self.theta
-        return np.array([[a11, a12], [a21, a22]]), np.array([tx, ty])
-
     def transform(self, pts):
-        A, t = self.matrix
-        return pts @ A.T + t
+        a11, a12, tx, a21, a22, ty = self.theta
+        return pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
 
     def jacobian(self, pts):
         """d(transformed point)/d(theta): shape (n, 2, 6)."""
@@ -63,57 +58,43 @@ def _tps_radial(r2):
     return out
 
 
-class _TpsSolver:
-    """Precomputed linear system for a fixed control lattice."""
+@functools.lru_cache(maxsize=None)
+def _tps_system(grid_n):
+    """Read-only control points (K, 2) of the regular grid_n x grid_n lattice
+    and the inverse of its TPS system matrix (K+3, K+3)."""
+    xs = np.linspace(-1.0, 1.0, grid_n)
+    cx, cy = np.meshgrid(xs, xs, indexing="xy")
+    controls = np.stack([cx.reshape(-1), cy.reshape(-1)], axis=1)  # (K,2)
+    K = controls.shape[0]
+    d2 = np.sum((controls[:, None, :] - controls[None, :, :]) ** 2, axis=2)
+    L = np.zeros((K + 3, K + 3))
+    L[:K, :K] = _tps_radial(d2)
+    P = np.concatenate([np.ones((K, 1)), controls], axis=1)
+    L[:K, K:] = P
+    L[K:, :K] = P.T
+    try:
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError as e:  # unreachable with a regular lattice
+        raise NumericError(f"singular TPS system for {grid_n}x{grid_n} lattice") from e
+    controls.flags.writeable = False
+    L_inv.flags.writeable = False
+    return controls, L_inv
 
-    _cache = {}
 
-    def __init__(self, grid_n):
-        xs = np.linspace(-1.0, 1.0, grid_n)
-        cx, cy = np.meshgrid(xs, xs, indexing="xy")
-        self.controls = np.stack([cx.reshape(-1), cy.reshape(-1)], axis=1)  # (K,2)
-        K = self.controls.shape[0]
-        d2 = np.sum((self.controls[:, None, :] - self.controls[None, :, :]) ** 2, axis=2)
-        L = np.zeros((K + 3, K + 3))
-        L[:K, :K] = _tps_radial(d2)
-        P = np.concatenate([np.ones((K, 1)), self.controls], axis=1)
-        L[:K, K:] = P
-        L[K:, :K] = P.T
-        try:
-            self.L_inv = np.linalg.inv(L)
-        except np.linalg.LinAlgError as e:  # unreachable with a regular lattice
-            raise NumericError(f"singular TPS system for {grid_n}x{grid_n} lattice") from e
-        self._bases = {}
-
-    @classmethod
-    def get(cls, grid_n):
-        if grid_n not in cls._cache:
-            cls._cache[grid_n] = cls(grid_n)
-        return cls._cache[grid_n]
-
-    def basis(self, pts):
-        """Rows [U(|p-c_k|), 1, x, y] folded through L^-1: returns (n, K) weights
-        mapping control displacements to evaluated displacements."""
-        K = self.controls.shape[0]
-        d2 = np.sum((pts[:, None, :] - self.controls[None, :, :]) ** 2, axis=2)
-        A = np.concatenate([_tps_radial(d2), np.ones((pts.shape[0], 1)), pts], axis=1)
-        return A @ self.L_inv[:, :K]
-
-    def cached_basis(self, pts):
-        """basis(pts) as a read-only array, kept per point set when pts is a
-        read-only array owning its memory (the module's cached grids, whose
-        values cannot change); computed afresh for any other pts."""
-        if pts.flags.writeable or pts.base is not None:
-            return self.basis(pts)
-        # each entry holds its pts, so no other array can take that id meanwhile
-        hit = self._bases.get(id(pts))
-        if hit is None:
-            if len(self._bases) >= 64:
-                self._bases.clear()
-            B = self.basis(pts)
-            B.flags.writeable = False
-            hit = self._bases[id(pts)] = (pts, B)
-        return hit[1]
+@functools.lru_cache(maxsize=16)
+def _tps_basis(grid_n, shape, data):
+    """Read-only (n, K) weights mapping control displacements to the
+    displacements at the float64 points of the given shape and bytes: rows
+    [U(|p-c_k|), 1, x, y] folded through L^-1. Keyed by the point values, so
+    every array holding the same points shares one entry."""
+    controls, L_inv = _tps_system(grid_n)
+    pts = np.frombuffer(data).reshape(shape)
+    K = controls.shape[0]
+    d2 = np.sum((pts[:, None, :] - controls[None, :, :]) ** 2, axis=2)
+    A = np.concatenate([_tps_radial(d2), np.ones((pts.shape[0], 1)), pts], axis=1)
+    B = A @ L_inv[:, :K]
+    B.flags.writeable = False
+    return B
 
 
 class TpsParams:
@@ -137,23 +118,23 @@ class TpsParams:
         self.grid_n = grid_n
         self.Q = 2 * k
 
-    @staticmethod
-    def identity(grid_n=3):
-        return TpsParams(np.zeros(2 * grid_n * grid_n), grid_n)
-
     @property
     def controls(self):
-        return _TpsSolver.get(self.grid_n).controls
+        return _tps_system(self.grid_n)[0]
+
+    def _basis(self, pts):
+        pts = np.asarray(pts, dtype=np.float64)
+        return _tps_basis(self.grid_n, pts.shape, pts.tobytes())
 
     def transform(self, pts):
-        B = _TpsSolver.get(self.grid_n).cached_basis(pts)
+        B = self._basis(pts)
         k = self.grid_n * self.grid_n
         dx = B @ self.theta[:k]
         dy = B @ self.theta[k:]
         return pts + np.stack([dx, dy], axis=1)
 
     def jacobian(self, pts):
-        B = _TpsSolver.get(self.grid_n).cached_basis(pts)
+        B = self._basis(pts)
         n, k = B.shape
         J = np.zeros((n, 2, 2 * k))
         J[:, 0, :k] = B

@@ -13,6 +13,7 @@ initialized model predicts the identity map.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,10 +269,10 @@ class AttentiveAlignmentModel:
 
     @classmethod
     def load(cls, dirpath):
-        tensors, entries, config_dict = storage.load_checkpoint(dirpath)
-        if config_dict is None:
-            raise storage.StorageError(f"{dirpath}: checkpoint has no config.txt")
-        model = cls(ModelConfig.from_dict(config_dict))
+        """The model saved in `dirpath` and its ModelConfig."""
+        tensors, _ = storage.load_checkpoint(dirpath)
+        config = ModelConfig.from_file(os.path.join(dirpath, "config.txt"))
+        model = cls(config)
 
         def stored(name, shape):
             if name not in tensors:
@@ -288,7 +289,7 @@ class AttentiveAlignmentModel:
             bn.running_mean = stored(f"{prefix}.running_mean", bn.running_mean.shape).copy()
             bn.running_var = stored(f"{prefix}.running_var", bn.running_var.shape).copy()
             bn.num_updates = int(stored(f"{prefix}.num_updates", ()))
-        return model, config_dict
+        return model, config
 
 
 @dataclass

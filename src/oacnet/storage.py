@@ -10,6 +10,8 @@ import typing
 
 import numpy as np
 
+from .tensor import ShapeError
+
 MAGIC = b"OACT"
 FORMAT_VERSION = 1
 
@@ -71,7 +73,8 @@ def save_checkpoint(dirpath, tensors, config_lines=None):
 
 
 def load_checkpoint(dirpath):
-    """Return ({name: array}, {name: (shape, role)}, config dict or None)."""
+    """Return ({name: array}, {name: (shape, role)}); the config.txt beside
+    them is read by the config class that wrote it (ConfigCodec.from_file)."""
     manifest_path = os.path.join(dirpath, "manifest.txt")
     if not os.path.isfile(manifest_path):
         raise StorageError(f"{dirpath}: missing manifest.txt")
@@ -95,36 +98,29 @@ def load_checkpoint(dirpath):
             if tuple(arr.shape) != dims:
                 raise StorageError(f"{dirpath}: {name} shape {arr.shape} != manifest {dims}")
             tensors[name] = arr
-    config = None
-    config_path = os.path.join(dirpath, "config.txt")
-    if os.path.isfile(config_path):
-        config = load_config_file(config_path)
-    return tensors, entries, config
+    return tensors, entries
 
 
-def parse_config_text(text, allowed_keys=None):
-    """Flat `key = value` lines; '#' comments; unknown keys rejected when allowed_keys given."""
+def parse_config_text(text, allowed_keys, source):
+    """Flat `key = value` lines with '#' comments, as {key: (line number, value)}.
+    A malformed line or an unknown or repeated key raises, naming `source:line:`."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}:"
         if "=" not in line:
-            raise StorageError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise StorageError(f"{where} expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise StorageError(f"line {lineno}: empty key")
-        if allowed_keys is not None and key not in allowed_keys:
-            raise StorageError(f"line {lineno}: unknown key {key!r}")
+            raise StorageError(f"{where} empty key")
+        if key not in allowed_keys:
+            raise StorageError(f"{where} unknown key {key!r}")
         if key in out:
-            raise StorageError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
+            raise StorageError(f"{where} duplicate key {key!r}")
+        out[key] = (lineno, value)
     return out
-
-
-def load_config_file(path, allowed_keys=None):
-    with open(path) as f:
-        return parse_config_text(f.read(), allowed_keys=allowed_keys)
 
 
 _VALUE_PARSERS = {int: int, float: float, str: str}
@@ -143,23 +139,25 @@ class ConfigCodec:
         return [f"{key} = {getattr(self, key)}" for key in self._field_types()]
 
     @classmethod
-    def from_dict(cls, d):
+    def from_file(cls, path):
+        """The config written in `path`. Every error names the file: a line's
+        own fault as `path:line:`, a failed check of the values (some span
+        several keys) as `path:`."""
         types = cls._field_types()
+        with open(path) as f:
+            entries = parse_config_text(f.read(), types, path)
         kwargs = {}
-        for key, text in d.items():
-            if key not in types:
-                raise StorageError(f"unknown {cls.__name__} key {key!r}")
+        for key, (lineno, text) in entries.items():
             try:
                 kwargs[key] = _VALUE_PARSERS[types[key]](text)
             except ValueError:
                 raise StorageError(
-                    f"{key}: expected {types[key].__name__}, got {text!r}"
+                    f"{path}:{lineno}: {key}: expected {types[key].__name__}, got {text!r}"
                 ) from None
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_dict(load_config_file(path, allowed_keys=cls._field_types()))
+        try:
+            return cls(**kwargs)
+        except (ValueError, ShapeError) as e:
+            raise StorageError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

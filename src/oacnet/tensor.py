@@ -179,16 +179,14 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
-        cache = (xhat, inv_std, mode)
-        return out, cache
+        return out, (xhat, inv_std)
 
     def backward(self, cache, gout):
-        xhat, inv_std, mode = cache
+        """Gradient through a train-mode forward (batch statistics)."""
+        xhat, inv_std = cache
         self.gamma.grad += np.sum(gout * xhat, axis=(0, 2, 3))
         self.beta.grad += np.sum(gout, axis=(0, 2, 3))
         g = gout * self.gamma.value[None, :, None, None]
-        if mode == "eval":
-            return g * inv_std[None, :, None, None]
         n = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
         sum_g = np.sum(g, axis=(0, 2, 3))[None, :, None, None]
         sum_gx = np.sum(g * xhat, axis=(0, 2, 3))[None, :, None, None]

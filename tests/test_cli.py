@@ -113,6 +113,56 @@ class TestTrainCommand:
         assert fragment in err
         assert stdout == "" and not out.exists()
 
+    def test_duplicate_key_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "dup.cfg"
+        config.write_text("learning_rate = 0.1\nbatch_size = 2\nbatch_size = 4\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert_one_line_error(capsys, f"error: bad config: {config}:3: duplicate key 'batch_size'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("occupied", ["non-empty-dir", "file"])
+    def test_occupied_out_dir_refused_before_training(self, occupied, tmp_path, capsys):
+        config = write_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        kept = out if occupied == "file" else out / "keep.txt"
+        if occupied != "file":
+            out.mkdir()
+        kept.write_text("old")
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert err == f"error: --out-dir {out} exists and is not an empty directory\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
+        assert kept.read_text() == "old"
+
+    def test_empty_out_dir_is_filled(self, tmp_path):
+        config = write_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "loss.csv",
+                                                         "train_config.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
+
+    def test_failed_save_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        save = storage.save_tensor
+        calls = []
+
+        def fail_fifth(path, array):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("No space left on device")
+            save(path, array)
+
+        monkeypatch.setattr(storage, "save_tensor", fail_fifth)
+        config = write_config(tmp_path / "f.cfg")
+        assert main(["train", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+        assert_one_line_error(capsys, "error: No space left on device")
+        assert len(calls) == 5
+        # neither --out-dir nor the temporary sibling it was staged in
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
+
     def test_smoke_run_emits_artifacts(self, trained_dir, capsys):
         assert (trained_dir / "loss.csv").is_file()
         assert (trained_dir / "checkpoint" / "manifest.txt").is_file()
@@ -461,6 +511,24 @@ class TestEvalCommand:
         manifest.write_text("\n".join(lines) + "\n")
         assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
         assert_one_line_error(capsys, f"{manifest}:3:", fragment)
+
+    @pytest.mark.parametrize("name,old,new,fragment", [
+        ("train_config.txt", None, "bogus = 1", "unknown key 'bogus'"),
+        ("checkpoint/config.txt", None, "bogus = 1", "unknown key 'bogus'"),
+        ("checkpoint/config.txt", "N = 4", "N = 4x", "N: expected int, got '4x'"),
+    ], ids=["train-config-key", "checkpoint-config-key", "checkpoint-config-int"])
+    def test_config_error_names_file_and_line(self, name, old, new, fragment, trained_dir,
+                                              tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        path = run / name
+        lines = path.read_text().splitlines()
+        if old is None:
+            lines.append(new)
+        else:
+            lines[lines.index(old)] = new
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
+        assert_one_line_error(capsys, f"error: {path}:{lines.index(new) + 1}: {fragment}")
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):

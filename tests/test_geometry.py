@@ -373,24 +373,33 @@ class TestSamplerEquivalence:
 
     @pytest.mark.parametrize("grid_n", [2, 3, 4])
     def test_cached_tps_basis_byte_equal_to_uncached(self, grid_n):
-        solver = geometry._TpsSolver.get(grid_n)
         rng = np.random.default_rng(grid_n)
         theta = TpsParams(0.1 * rng.standard_normal(2 * grid_n * grid_n), grid_n)
-        for pts in (geometry._crop_grid(32, 32), geometry._border_probe()):
-            fresh = geometry._TpsSolver(grid_n).basis(pts.copy())
+        uncached = geometry._tps_basis.__wrapped__
+        assert not theta.controls.flags.writeable
+        for pts in (geometry._crop_grid(32, 32), geometry._border_probe(),
+                    make_regular_grid(20)):
+            fresh = uncached(grid_n, pts.shape, pts.tobytes())
             for _ in range(2):  # the computing call, then the cached one
-                cached = solver.cached_basis(pts)
+                cached = theta._basis(pts)
                 assert cached.tobytes() == fresh.tobytes()
                 assert not cached.flags.writeable
             moved = pts + np.stack([fresh @ theta.theta[: grid_n**2],
                                     fresh @ theta.theta[grid_n**2 :]], axis=1)
             assert theta.transform(pts).tobytes() == moved.tobytes()
-        # a writeable point set is never cached: its values may change
-        pts = geometry._crop_grid(8, 8).copy()
-        first = solver.cached_basis(pts)
+        # the cache is keyed by values: a mutated array gets its new values' basis
+        pts = make_regular_grid(20)
+        first = theta._basis(pts)
         pts[0] = 0.5
-        assert solver.cached_basis(pts).tobytes() == solver.basis(pts).tobytes()
-        assert not np.array_equal(first, solver.cached_basis(pts))
+        assert theta._basis(pts).tobytes() == uncached(grid_n, pts.shape, pts.tobytes()).tobytes()
+        assert not np.array_equal(first, theta._basis(pts))
+        # and a fresh loss grid holding equal values is a hit
+        truth = TpsParams(np.zeros(2 * grid_n * grid_n), grid_n)
+        tgd(theta, truth, make_regular_grid(20))
+        before = geometry._tps_basis.cache_info()
+        tgd(theta, truth, make_regular_grid(20))
+        after = geometry._tps_basis.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 # ---------------------------------------------------------------------------

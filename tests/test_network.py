@@ -20,6 +20,12 @@ from oacnet.tensor import (
 from gradcheck import bn_stats_restored, grad_check
 
 
+def config_from_text(tmp_path, text):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    return ModelConfig.from_file(str(path))
+
+
 def tiny_config(**overrides):
     base = dict(family="affine", D=8, H=8, W=8, N=8, encoder_channels=8,
                 g_hidden=8, g_out=8, s_hidden=4, seed=0)
@@ -54,33 +60,27 @@ class TestModelConfig:
             ModelConfig(D=8, H=6, W=6)
 
     @pytest.mark.parametrize("grid", ["1", "0"])
-    def test_degenerate_tps_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="tps_grid"):
-            ModelConfig.from_dict({"family": "tps", "D": "8", "H": "8", "W": "8",
-                                   "tps_grid": grid})
+    def test_degenerate_tps_grid_rejected(self, grid, tmp_path):
+        with pytest.raises(storage.StorageError, match="tps_grid"):
+            config_from_text(tmp_path, f"family = tps\nD = 8\nH = 8\nW = 8\ntps_grid = {grid}\n")
 
-    def test_unknown_oac_path_rejected(self):
+    def test_unknown_oac_path_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="oac_path"):
             ModelConfig(oac_path="bogus")
-        with pytest.raises(ValueError, match="oac_path"):
-            ModelConfig.from_dict({"D": "8", "H": "8", "W": "8", "oac_path": "dircet"})
+        with pytest.raises(storage.StorageError, match="oac_path"):
+            config_from_text(tmp_path, "D = 8\nH = 8\nW = 8\noac_path = dircet\n")
 
-    def test_round_trip_through_lines(self):
+    def test_round_trip_through_lines(self, tmp_path):
         cfg = tiny_config(family="tps", oac_path="reordered")
-        d = {}
-        for line in cfg.to_lines():
-            k, v = [s.strip() for s in line.split("=")]
-            d[k] = v
-        cfg2 = ModelConfig.from_dict(d)
-        assert cfg2 == cfg
+        assert config_from_text(tmp_path, "\n".join(cfg.to_lines())) == cfg
 
     @pytest.mark.parametrize("key, value", [
         ("oac_bias", "TRUE"), ("oac_bias", "yes"), ("oac_bias", "1"), ("N", "4x8"),
         ("N", "8.0"), ("embedding_kind", "learned"), ("oac_bias", "true"), ("embed_dim", "5"),
     ])
-    def test_bad_values_rejected(self, key, value):
-        with pytest.raises(storage.StorageError, match=key):
-            ModelConfig.from_dict({key: value})
+    def test_bad_values_rejected(self, key, value, tmp_path):
+        with pytest.raises(storage.StorageError, match=f":1: .*{key}"):
+            config_from_text(tmp_path, f"{key} = {value}\n")
 
 
 class TestEncoder:
@@ -384,7 +384,7 @@ class TestCheckpointing:
         # corrupt one tensor file with a different shape
         from oacnet import storage
 
-        tensors, entries, config = storage.load_checkpoint(path)
+        tensors, entries = storage.load_checkpoint(path)
         bad = [(n, (np.zeros((2, 2)) if n == "head.w" else tensors[n]), role)
                for n, (_, role) in entries.items()]
         storage.save_checkpoint(path, bad, config_lines=model.config.to_lines())

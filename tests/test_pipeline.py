@@ -1,6 +1,8 @@
 """Tests for feature providers, pair generation, the training loop, and
 evaluation helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -246,16 +248,22 @@ class TestTrainConfig:
         assert config.batch_size == 32
         assert config.epochs == 50
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(storage.StorageError):
-            TrainConfig.from_dict({"momentum": "0.9"})
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("momentum = 0.9\n")
+        where = re.escape(str(path))
+        with pytest.raises(storage.StorageError, match=f"^{where}:1: unknown key 'momentum'"):
+            TrainConfig.from_file(str(path))
 
     @pytest.mark.parametrize("key, value", [
         ("batch_size", "4x8"), ("batch_size", "2.5"), ("learning_rate", "fast"),
     ])
-    def test_bad_values_rejected(self, key, value):
-        with pytest.raises(storage.StorageError, match=key):
-            TrainConfig.from_dict({key: value})
+    def test_bad_values_rejected(self, key, value, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text(f"{key} = {value}\n")
+        where = re.escape(str(path))
+        with pytest.raises(storage.StorageError, match=f"^{where}:1: {key}: expected"):
+            TrainConfig.from_file(str(path))
 
     @pytest.mark.parametrize("overrides", [
         dict(feature_h=5), dict(feature_w=6), dict(feature_h=4, feature_w=4),
@@ -268,9 +276,11 @@ class TestTrainConfig:
             TrainConfig(**overrides)
 
     @pytest.mark.parametrize("grid", ["1", "0", "-2"])
-    def test_degenerate_tps_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="tps_grid"):
-            TrainConfig.from_dict({"family": "tps", "tps_grid": grid})
+    def test_degenerate_tps_grid_rejected(self, grid, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text(f"family = tps\ntps_grid = {grid}\n")
+        with pytest.raises(storage.StorageError, match=f"^{re.escape(str(path))}: tps_grid"):
+            TrainConfig.from_file(str(path))
 
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError):

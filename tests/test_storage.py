@@ -1,5 +1,6 @@
 """Tests for the binary tensor format, checkpoints, images, configs, and CSVs."""
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -95,18 +96,19 @@ class TestCheckpoint:
         ]
         path = str(tmp_path / "ckpt")
         storage.save_checkpoint(path, tensors, config_lines=["family = affine"])
-        loaded, entries, config = storage.load_checkpoint(path)
+        loaded, entries = storage.load_checkpoint(path)
         assert np.array_equal(loaded["head/w"], tensors[0][1])
         assert loaded["enc_bn/num_updates"].shape == ()
         assert entries["head/w"] == ((6, 4), "weight")
         assert entries["enc_bn/num_updates"] == ((), "stat")
-        assert config == {"family": "affine"}
+        assert (tmp_path / "ckpt" / "config.txt").read_text() == "family = affine\n"
 
     def test_no_config_file(self, tmp_path):
         path = str(tmp_path / "ckpt")
         storage.save_checkpoint(path, [("a", np.ones(2), "weight")])
-        _, _, config = storage.load_checkpoint(path)
-        assert config is None
+        loaded, _ = storage.load_checkpoint(path)
+        assert np.array_equal(loaded["a"], np.ones(2))
+        assert not (tmp_path / "ckpt" / "config.txt").exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(storage.StorageError, match="manifest"):
@@ -127,31 +129,49 @@ class TestCheckpoint:
 class TestConfigParsing:
     def test_basic_and_comments(self):
         text = "# header\nlr = 0.1  # inline\n\nname = net\n"
-        assert storage.parse_config_text(text) == {"lr": "0.1", "name": "net"}
+        assert storage.parse_config_text(text, ("lr", "name"), "c.cfg") == {
+            "lr": (2, "0.1"), "name": (4, "net")}
 
     def test_unknown_key_rejected_with_line_number(self):
-        with pytest.raises(storage.StorageError, match="line 2"):
-            storage.parse_config_text("a = 1\nbogus = 2\n", allowed_keys=("a",))
+        with pytest.raises(storage.StorageError, match="^c.cfg:2: unknown key 'bogus'"):
+            storage.parse_config_text("a = 1\nbogus = 2\n", ("a",), "c.cfg")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(storage.StorageError, match="duplicate"):
-            storage.parse_config_text("a = 1\na = 2\n")
+        with pytest.raises(storage.StorageError, match="^c.cfg:2: duplicate key 'a'"):
+            storage.parse_config_text("a = 1\na = 2\n", ("a",), "c.cfg")
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(storage.StorageError, match="line 1"):
-            storage.parse_config_text("just some words\n")
+        with pytest.raises(storage.StorageError, match="^c.cfg:1:"):
+            storage.parse_config_text("just some words\n", ("a",), "c.cfg")
 
     def test_empty_key_rejected(self):
-        with pytest.raises(storage.StorageError, match="empty key"):
-            storage.parse_config_text(" = 3\n")
+        with pytest.raises(storage.StorageError, match="^c.cfg:1: empty key"):
+            storage.parse_config_text(" = 3\n", ("a",), "c.cfg")
 
     def test_value_may_contain_equals(self):
-        assert storage.parse_config_text("expr = a=b") == {"expr": "a=b"}
+        assert storage.parse_config_text("expr = a=b", ("expr",), "c.cfg") == {
+            "expr": (1, "a=b")}
 
     def test_load_config_file(self, tmp_path):
+        @dataclasses.dataclass
+        class Tiny(storage.ConfigCodec):
+            alpha: float = 1.0
+            n: int = 2
+
+            def __post_init__(self):
+                if self.n < 0:
+                    raise ValueError(f"n must be >= 0, got {self.n}")
+
         path = tmp_path / "c.cfg"
         path.write_text("alpha = 0.1\n")
-        assert storage.load_config_file(str(path)) == {"alpha": "0.1"}
+        assert Tiny.from_file(str(path)) == Tiny(alpha=0.1)
+        # a line's own fault names the line; a failed value check the file
+        for text, prefix in (("alpha = 1\nn = 2.5\n", f"{path}:2: n: expected int"),
+                             ("n = -1\n", f"{path}: n must be >= 0, got -1")):
+            path.write_text(text)
+            with pytest.raises(storage.StorageError) as err:
+                Tiny.from_file(str(path))
+            assert str(err.value).startswith(prefix), err.value
 
 
 # ---------------------------------------------------------------------------
