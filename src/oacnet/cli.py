@@ -50,7 +50,6 @@ def _save_run(out_dir, config, model, history):
     sibling of out_dir and rename it into place, so a failed save leaves
     neither a partial out_dir nor the sibling."""
     parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
     scratch = tempfile.mkdtemp(prefix=".oacnet-train-", dir=parent)
     # model.save makes `staged` with the usual permissions (mkdtemp's are 0700)
     staged = os.path.join(scratch, "run")
@@ -66,8 +65,7 @@ def _save_run(out_dir, config, model, history):
 
 def cmd_train(args):
     if not os.path.isfile(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 1
+        raise ValueError(f"config file not found: {args.config}")
     try:
         config = pipeline.TrainConfig.from_file(args.config)
         if args.seed is not None:
@@ -78,6 +76,8 @@ def cmd_train(args):
     if os.path.lexists(args.out_dir) and not (os.path.isdir(args.out_dir)
                                               and not os.listdir(args.out_dir)):
         raise ValueError(f"--out-dir {args.out_dir} exists and is not an empty directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out_dir))):
+        raise ValueError(f"--out-dir {args.out_dir}: parent directory does not exist")
     _print_config(vars(config))
     print(f"seed: {config.seed}")
     try:
@@ -190,11 +190,8 @@ def _dump_attention(base, alpha):
 
 
 def _load_theta(path):
-    """Affine (6 values) or TPS (18 values) parameters from an OACT file."""
-    vec = storage.load_tensor(path).reshape(-1)
-    if vec.size not in (6, 18):
-        raise ShapeError(f"theta file must hold 6 or 18 values, got {vec.size}")
-    return geometry.params_from_vector("affine" if vec.size == 6 else "tps", vec)
+    """Parameters from an OACT file of any shape, by geometry.params_from_length."""
+    return geometry.params_from_length(storage.load_tensor(path))
 
 
 def cmd_eval(args):
@@ -216,8 +213,7 @@ def cmd_eval(args):
         return 0
 
     if not args.checkpoint:
-        print("error: need --checkpoint or --keypoints-csv", file=sys.stderr)
-        return 1
+        raise ValueError("need --checkpoint or --keypoints-csv")
     _positive("--pairs", args.pairs)
     model, tconf = _load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
@@ -226,12 +222,8 @@ def cmd_eval(args):
         for _ in range(args.pairs)
     ]
     batch = pipeline.build_pairs(images, pipeline.build_provider(tconf), tconf, rng)
-    try:
-        theta_vecs, state = pipeline.predict(model, batch)
-        thetas = [model.theta_params(v) for v in theta_vecs]
-    except (ShapeError, NumericError) as e:
-        print(f"error: checkpoint/feature mismatch: {e}", file=sys.stderr)
-        return 1
+    theta_vecs, state = pipeline.predict(model, batch)
+    thetas = [model.theta_params(v) for v in theta_vecs]
     mean_tgd = pipeline.evaluate_tgd(thetas, batch)
     pck_score = pipeline.evaluate_pck_synthetic(
         thetas, batch, alpha=args.alpha, image_hw=(tconf.image_size, tconf.image_size),
@@ -268,8 +260,7 @@ def cmd_warp(args):
         _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
         print(f"warped pair written to {args.out} (+ attention dumps)")
         return 0
-    print("error: need --theta-file or --checkpoint", file=sys.stderr)
-    return 1
+    raise ValueError("need --theta-file or --checkpoint")
 
 
 def build_parser():

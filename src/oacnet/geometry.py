@@ -9,6 +9,7 @@ in the library shares this frame.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -19,7 +20,6 @@ class AffineParams:
     """Six parameters (a11, a12, tx, a21, a22, ty) acting on normalized coords."""
 
     family = "affine"
-    Q = 6
 
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=np.float64).reshape(6)
@@ -28,10 +28,6 @@ class AffineParams:
     @staticmethod
     def identity():
         return AffineParams([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
-    @staticmethod
-    def identity_vector():
-        return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
     def transform(self, pts):
         a11, a12, tx, a21, a22, ty = self.theta
@@ -116,7 +112,6 @@ class TpsParams:
         assert_finite(theta, "tps params")
         self.theta = theta
         self.grid_n = grid_n
-        self.Q = 2 * k
 
     @property
     def controls(self):
@@ -147,15 +142,25 @@ def params_from_vector(family, vec, grid_n=3):
         return AffineParams(vec)
     if family == "tps":
         return TpsParams(vec, grid_n)
-    raise ValueError(f"unknown transform family {family!r}")
+    raise ValueError(f"unknown family {family!r}")
 
 
 def identity_vector(family, grid_n=3):
+    """The family's identity parameters; their size is its parameter count."""
     if family == "affine":
-        return AffineParams.identity_vector()
+        return AffineParams.identity().theta
     if family == "tps":
         return np.zeros(2 * grid_n * grid_n)
-    raise ValueError(f"unknown transform family {family!r}")
+    raise ValueError(f"unknown family {family!r}")
+
+
+def params_from_length(vec):
+    """Parameters from an array of any shape, the family told by its size: 6
+    values are affine, 2*g^2 values with g >= 2 a TPS on the g x g lattice."""
+    g = math.isqrt(vec.size // 2)
+    if vec.size != 6 and (g < 2 or vec.size != 2 * g * g):
+        raise ShapeError(f"theta must hold 6 values or 2*g^2 with g >= 2, got {vec.size}")
+    return AffineParams(vec) if vec.size == 6 else TpsParams(vec, g)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,8 @@ def pck(pairs, predicted, alpha_pck, image_hw):
 # ---------------------------------------------------------------------------
 # Warping
 
+SNAP_TOL = 1e-9  # sample coordinates this close to an integer snap to it
+
 
 def _reflect_index(idx, n):
     """Fold arbitrary integer indices into [0, n-1] by edge-excluding reflection."""
@@ -265,7 +272,7 @@ def _fold(idx, n, pad):
     return _padded_axis(n, pad)[_reflect_index(idx, n + 2 * pad)]
 
 
-def _sample_flat(image, pix, pad=0, snap_tol=1e-9):
+def _sample_flat(image, pix, pad):
     """Bilinear samples (C, n) of a (C,H,W) image at pixel coords pix (2, n),
     rows x then y, given in the frame of the image reflect-padded by `pad`.
 
@@ -276,7 +283,7 @@ def _sample_flat(image, pix, pad=0, snap_tol=1e-9):
     """
     C, H, W = image.shape
     r = np.rint(pix)
-    pix = np.where(np.abs(pix - r) < snap_tol, r, pix)
+    pix = np.where(np.abs(pix - r) < SNAP_TOL, r, pix)
     lo = np.floor(pix).astype(np.int64)
     fx, fy = pix - lo
     x0, x1 = _fold(np.stack([lo[0], lo[0] + 1]), W, pad)
@@ -307,15 +314,21 @@ def _crop_grid(H, W):
     return pts
 
 
+def _warp_crop(image, pad, theta, what):
+    """The (C,H,W) crop whose pixel center g samples, at T(g), the image as
+    mirror_pad(image, pad) would extend it (pad 0: reflected at its edges)."""
+    C, H, W = image.shape
+    mapped = theta.transform(_crop_grid(H, W)).T
+    # crop-normalized -> padded-image pixel coords, rows x then y
+    pix = pad + (mapped + 1.0) * np.array([[W - 1.0], [H - 1.0]]) / 2.0
+    return assert_finite(_sample_flat(image, pix, pad).reshape(C, H, W), what)
+
+
 def bilinear_warp(image, theta):
     """Output at normalized grid point g samples the input at T_theta(g), with
-    reflection outside the image. Sample coordinates within _sample_flat's
-    snap tolerance of an integer are snapped, so identity resampling is
-    bit-exact."""
-    C, H, W = image.shape
-    pix = denormalize_points(theta.transform(_crop_grid(H, W)), (H, W))
-    out = _sample_flat(image, pix.T).reshape(C, H, W)
-    return assert_finite(out, "warped image")
+    reflection outside the image. Sample coordinates within SNAP_TOL of an
+    integer are snapped, so identity resampling is bit-exact."""
+    return _warp_crop(image, 0, theta, "warped image")
 
 
 def _check_pad(image, pad):
@@ -365,7 +378,7 @@ def mirror_pad_center_crop(image, pad, theta):
     never built: samples read the reflected pixels directly. Raises when the
     transform can reach outside the padded extent.
     """
-    C, H, W = image.shape
+    H, W = image.shape[1:]
     _check_pad(image, pad)
     # slack available beyond the crop, in crop-normalized units
     slack_x = 2.0 * pad / (W - 1)
@@ -376,11 +389,7 @@ def mirror_pad_center_crop(image, pad, theta):
             f"pad {pad} too small: transform exceeds crop frame by {excess:.4f}, "
             f"slack is {min(slack_x, slack_y):.4f}"
         )
-    mapped = theta.transform(_crop_grid(H, W)).T
-    # crop-normalized -> padded-image pixel coords, rows x then y
-    pix = pad + (mapped + 1.0) * np.array([[W - 1.0], [H - 1.0]]) / 2.0
-    target_crop = _sample_flat(image, pix, pad).reshape(C, H, W)
-    return image.copy(), assert_finite(target_crop, "target crop")
+    return image.copy(), _warp_crop(image, pad, theta, "target crop")
 
 
 # ---------------------------------------------------------------------------
@@ -415,4 +424,4 @@ def sample_random_transform(family, rng, grid_n=3):
         k = grid_n * grid_n
         disp = rng.uniform(-TPS_MAX_DISPLACEMENT, TPS_MAX_DISPLACEMENT, size=2 * k)
         return TpsParams(disp, grid_n)
-    raise ValueError(f"unknown transform family {family!r}")
+    raise ValueError(f"unknown family {family!r}")

@@ -58,8 +58,7 @@ class ModelConfig(storage.ConfigCodec):
         for key in ("D", "N", "encoder_channels", "g_hidden", "g_out", "s_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.family not in ("affine", "tps"):
-            raise ValueError(f"unknown family {self.family!r}")
+        geometry.identity_vector(self.family, self.tps_grid)  # refuses an unknown family
         if self.tps_grid < 2:
             raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
         if self.oac_path not in ("direct", "reordered"):
@@ -77,7 +76,7 @@ class ModelConfig(storage.ConfigCodec):
 
     @property
     def Q(self):
-        return 6 if self.family == "affine" else 2 * self.tps_grid**2
+        return geometry.identity_vector(self.family, self.tps_grid).size
 
 
 class ConvBNReLU:

@@ -10,7 +10,7 @@ import typing
 
 import numpy as np
 
-from .tensor import ShapeError
+from .tensor import ShapeError, assert_finite
 
 MAGIC = b"OACT"
 FORMAT_VERSION = 1
@@ -52,12 +52,14 @@ def load_tensor(path):
             raise StorageError(f"{path}: unsupported format version {version}")
         dims = struct.unpack(f"<{rank}Q", _read_exact(f, path, 8 * rank, "dims"))
         payload = _read_exact(f, path, 8 * math.prod(dims), "payload")
+        if f.read(1):
+            raise StorageError(f"{path}: trailing bytes after the payload")
         data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(dims)
 
 
-def save_checkpoint(dirpath, tensors, config_lines=None):
-    """Write named tensors plus a manifest; tensors is a list of (name, array, role)."""
+def save_checkpoint(dirpath, tensors, config_lines):
+    """Write (name, array, role) tensors, their manifest, and config_lines as config.txt."""
     os.makedirs(dirpath, exist_ok=True)
     manifest = []
     for name, arr, role in tensors:
@@ -67,14 +69,13 @@ def save_checkpoint(dirpath, tensors, config_lines=None):
         manifest.append(f"{name} {shape} {role}")
     with open(os.path.join(dirpath, "manifest.txt"), "w") as f:
         f.write("\n".join(manifest) + "\n")
-    if config_lines is not None:
-        with open(os.path.join(dirpath, "config.txt"), "w") as f:
-            f.write("\n".join(config_lines) + "\n")
+    with open(os.path.join(dirpath, "config.txt"), "w") as f:
+        f.write("\n".join(config_lines) + "\n")
 
 
 def load_checkpoint(dirpath):
-    """Return ({name: array}, {name: (shape, role)}); the config.txt beside
-    them is read by the config class that wrote it (ConfigCodec.from_file)."""
+    """Return ({name: array}, {name: (shape, role)}), refusing NaN/Inf values;
+    the config.txt beside them is read by ConfigCodec.from_file."""
     manifest_path = os.path.join(dirpath, "manifest.txt")
     if not os.path.isfile(manifest_path):
         raise StorageError(f"{dirpath}: missing manifest.txt")
@@ -97,7 +98,7 @@ def load_checkpoint(dirpath):
             arr = load_tensor(os.path.join(dirpath, name.replace("/", "_") + ".oact"))
             if tuple(arr.shape) != dims:
                 raise StorageError(f"{dirpath}: {name} shape {arr.shape} != manifest {dims}")
-            tensors[name] = arr
+            tensors[name] = assert_finite(arr, f"{dirpath}: {name}")
     return tensors, entries
 
 
@@ -210,8 +211,8 @@ def load_image(path):
         raise StorageError(f"{path}: only maxval 255 supported")
     channels = 1 if magic == b"P5" else 3
     need, have = w * h * channels, max(len(data) - pos, 0)
-    if have < need:
-        raise StorageError(f"{path}: truncated pixel data: expected {need} bytes, got {have}")
+    if have != need:  # one image per file: nothing may follow its pixels
+        raise StorageError(f"{path}: pixel data: expected {need} bytes, got {have}")
     raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     img = raw.reshape(h, w, channels).astype(np.float64) / 255.0
     return np.moveaxis(img, -1, 0)

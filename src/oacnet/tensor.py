@@ -73,10 +73,9 @@ def relu_backward(cache, gout):
 
 
 def l2_normalize_channels(x):
-    """Normalize each channel-vector (axis 0 of a C,H,W map or axis 1 of B,C,H,W)."""
+    """Normalize each channel-vector (axis -3: C of a C,H,W or B,C,H,W map)."""
     x = np.asarray(x, dtype=np.float64)
-    axis = 0 if x.ndim == 3 else 1
-    norms = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
+    norms = np.sqrt(np.sum(x * x, axis=-3, keepdims=True))
     return x / np.maximum(norms, L2_NORM_FLOOR)
 
 

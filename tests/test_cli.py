@@ -11,6 +11,7 @@ from oacnet import cli, geometry, pipeline, storage
 from oacnet import correlation as corr
 from oacnet.cli import main
 from oacnet.network import AttentiveAlignmentModel
+from oacnet.tensor import NumericError
 
 SMALL_CONFIG = {
     "learning_rate": "2e-4",
@@ -135,6 +136,15 @@ class TestTrainCommand:
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
         assert kept.read_text() == "old"
+
+    def test_missing_out_dir_parent_refused_before_training(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.cfg")
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert err == f"error: --out-dir {out}: parent directory does not exist\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
     def test_empty_out_dir_is_filled(self, tmp_path):
         config = write_config(tmp_path / "c.cfg")
@@ -454,12 +464,14 @@ class TestEvalCommand:
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
         assert main(["eval", "--keypoints-csv", csv,
                      "--theta-file", str(tmp_path / "theta.oact")]) == 1
-        assert_one_line_error(capsys, "6 or 18 values")
+        assert_one_line_error(capsys, "theta must hold 6 values", "got 7")
 
     @pytest.mark.parametrize("blob,fragment", [
         (b"OACT\x01\x00", "truncated header"),
         # rank 1, dims claim 1000 values, file holds one
         (b"OACT" + struct.pack("<IIQd", 1, 1, 1000, 0.0), "truncated payload"),
+        (b"OACT" + struct.pack("<IIQ6d", 1, 1, 6, *geometry.identity_vector("affine")) + b"\0",
+         "trailing bytes after the payload"),
     ])
     def test_truncated_theta_file_exits_1(self, blob, fragment, tmp_path, capsys):
         theta = tmp_path / "theta.oact"
@@ -489,6 +501,30 @@ class TestEvalCommand:
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
         assert main(["eval", "--keypoints-csv", csv, "--image-size", size]) == 1
         assert_one_line_error(capsys, "--image-size must be at least 2")
+
+    @pytest.mark.parametrize("command", ["eval", "warp"])
+    def test_nan_checkpoint_exits_2(self, command, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        head = run / "checkpoint" / "head.w.oact"
+        w = storage.load_tensor(str(head))
+        w[0, 0] = np.nan
+        storage.save_tensor(str(head), w)
+        argv = [command, "--checkpoint", str(run / "checkpoint")]
+        if command == "warp":
+            src, _ = save_ramp(tmp_path / "in.pgm")
+            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+        assert main(argv) == 2
+        assert_one_line_error(capsys, "head.w contains NaN/Inf")
+        assert not (tmp_path / "o.pgm").exists()
+
+    def test_non_finite_prediction_exits_2(self, trained_dir, capsys, monkeypatch):
+        def overflow(model, batch):
+            raise NumericError("affine params contains NaN/Inf")
+
+        monkeypatch.setattr(pipeline, "predict", overflow)
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--pairs", "2"]) == 2
+        assert_one_line_error(capsys, "affine params contains NaN/Inf")
 
     def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
@@ -579,9 +615,26 @@ class TestWarpCommand:
 
     def test_bad_theta_size_exits_1(self, tmp_path, capsys):
         src, _ = save_ramp(tmp_path / "in.pgm")
-        storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(5))
-        assert main(["warp", "--image", src, "--theta-file",
-                     str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
+        for size in (0, 2, 5, 7):
+            storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(size))
+            assert main(["warp", "--image", src, "--theta-file",
+                         str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
+            assert_one_line_error(capsys, "theta must hold 6 values", f"got {size}")
+            assert not (tmp_path / "o.pgm").exists()
+
+    @pytest.mark.parametrize("grid_n", [2, 3, 4])
+    def test_tps_theta_of_any_lattice(self, grid_n, tmp_path, capsys):
+        # 2*g^2 values warp as a TPS on the g x g lattice, stored in any shape
+        src, img = save_ramp(tmp_path / "in.pgm")
+        rng = np.random.default_rng(grid_n)
+        theta = geometry.sample_random_transform("tps", rng, grid_n=grid_n).theta
+        storage.save_tensor(str(tmp_path / "theta.oact"), theta.reshape(2, -1))
+        out = tmp_path / "out.pgm"
+        assert main(["warp", "--image", src, "--theta-file", str(tmp_path / "theta.oact"),
+                     "--out", str(out)]) == 0
+        storage.save_image(str(tmp_path / "ref.pgm"), geometry.bilinear_warp(
+            storage.load_image(src), geometry.TpsParams(theta, grid_n)))
+        assert out.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
     def test_non_finite_warp_exits_2(self, tmp_path, capsys):
         src, _ = save_ramp(tmp_path / "in.pgm")
@@ -612,6 +665,7 @@ class TestWarpCommand:
         (b"P5\nfour 4\n255\n" + bytes(16), "bad header fields"),
         (b"P5\n0 0\n255\n", "empty image: 0x0"),
         (b"P6\n3 0\n255\n", "empty image: 3x0"),
+        (b"P5\n2 1\n255\n\x00\x01\x02", "expected 2 bytes, got 3"),
     ])
     def test_truncated_image_exits_1(self, blob, fragment, tmp_path, capsys):
         image = tmp_path / "in.pgm"

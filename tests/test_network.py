@@ -186,7 +186,7 @@ class TestAttention:
 
 class TestPredictTheta:
     def test_fresh_model_predicts_identity(self):
-        for family, ident in [("affine", geometry.AffineParams.identity_vector()),
+        for family, ident in [("affine", geometry.identity_vector("affine")),
                               ("tps", np.zeros(18))]:
             cfg = tiny_config(family=family)
             model = AttentiveAlignmentModel(cfg)
@@ -201,7 +201,7 @@ class TestPredictTheta:
         for seed in (8, 9):
             f_src, f_trg = random_features(cfg, seed=seed)
             theta, _ = model.forward_features(f_src, f_trg, mode="eval")
-            assert np.allclose(theta, geometry.AffineParams.identity_vector()[None], atol=1e-14)
+            assert np.allclose(theta, geometry.identity_vector("affine")[None], atol=1e-14)
 
     def test_head_is_plain_matrix_product(self):
         cfg = tiny_config()
@@ -211,7 +211,7 @@ class TestPredictTheta:
         f_src, f_trg = random_features(cfg, B=1, seed=10)
         theta, _ = model.forward_features(f_src, f_trg, mode="eval")
         tau = model._cache["tau"][0]
-        expected = model.head_w.value @ tau + geometry.AffineParams.identity_vector()
+        expected = model.head_w.value @ tau + geometry.identity_vector("affine")
         assert np.allclose(theta, expected, atol=1e-12)
 
 

@@ -82,6 +82,13 @@ class TestTensorFile:
         with pytest.raises(storage.StorageError, match="truncated"):
             storage.load_tensor(str(tmp_path / "trunc.oact"))
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.oact"
+        storage.save_tensor(str(path), np.ones((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(storage.StorageError, match="trailing bytes after the payload"):
+            storage.load_tensor(str(path))
+
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -103,20 +110,13 @@ class TestCheckpoint:
         assert entries["enc_bn/num_updates"] == ((), "stat")
         assert (tmp_path / "ckpt" / "config.txt").read_text() == "family = affine\n"
 
-    def test_no_config_file(self, tmp_path):
-        path = str(tmp_path / "ckpt")
-        storage.save_checkpoint(path, [("a", np.ones(2), "weight")])
-        loaded, _ = storage.load_checkpoint(path)
-        assert np.array_equal(loaded["a"], np.ones(2))
-        assert not (tmp_path / "ckpt" / "config.txt").exists()
-
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(storage.StorageError, match="manifest"):
             storage.load_checkpoint(str(tmp_path))
 
     def test_manifest_shape_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        storage.save_checkpoint(path, [("a", np.ones((2, 3)), "weight")])
+        storage.save_checkpoint(path, [("a", np.ones((2, 3)), "weight")], ["family = affine"])
         storage.save_tensor(str(tmp_path / "ckpt" / "a.oact"), np.ones((3, 2)))
         with pytest.raises(storage.StorageError, match="shape"):
             storage.load_checkpoint(path)
