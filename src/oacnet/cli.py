@@ -81,11 +81,9 @@ def cmd_train(args):
     _print_config(vars(config))
     print(f"seed: {config.seed}")
     try:
-        # a non-finite value ends the run through the finite checks, with one line
-        with np.errstate(all="ignore"):
-            model, history, val_batch = pipeline.train(
-                config, log_fn=lambda s, l: print(f"step {s}: loss {l:.6f}")
-            )
+        model, history, val_batch = pipeline.train(
+            config, log_fn=lambda s, l: print(f"step {s}: loss {l:.6f}")
+        )
     except pipeline.DivergenceError as e:
         print(f"divergence guard tripped: {e}", file=sys.stderr)
         return 2
@@ -173,10 +171,14 @@ def cmd_bench(args):
 
 
 def _load_checkpoint(path):
-    """The model saved at `path` and the training config written beside it."""
-    model, _ = AttentiveAlignmentModel.load(path)
-    tconf = pipeline.TrainConfig.from_file(
-        os.path.normpath(os.path.join(path, "..", "train_config.txt")))
+    """The model saved at `path` and the training config written beside it,
+    which must describe that model."""
+    model, config = AttentiveAlignmentModel.load(path)
+    tconf_path = os.path.normpath(os.path.join(path, "..", "train_config.txt"))
+    tconf = pipeline.TrainConfig.from_file(tconf_path)
+    if tconf.model_config() != config:
+        raise ValueError(f"{tconf_path} does not describe the model in "
+                         f"{os.path.join(path, 'config.txt')}")
     return model, tconf
 
 
@@ -321,7 +323,10 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # a non-finite value ends a command through the finite checks, with
+        # one line, so numpy's floating-point warnings are not printed
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (storage.StorageError, ShapeError, ValueError, OSError) as e:
         # malformed or missing input: one line, not a traceback
         print(f"error: {e}", file=sys.stderr)

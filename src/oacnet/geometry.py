@@ -33,17 +33,10 @@ class AffineParams:
         a11, a12, tx, a21, a22, ty = self.theta
         return pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
 
-    def jacobian(self, pts):
-        """d(transformed point)/d(theta): shape (n, 2, 6)."""
-        n = pts.shape[0]
-        J = np.zeros((n, 2, 6))
-        J[:, 0, 0] = pts[:, 0]
-        J[:, 0, 1] = pts[:, 1]
-        J[:, 0, 2] = 1.0
-        J[:, 1, 3] = pts[:, 0]
-        J[:, 1, 4] = pts[:, 1]
-        J[:, 1, 5] = 1.0
-        return J
+    @staticmethod
+    def design(pts):
+        """Φ(pts) (n, 3), rows (x, y, 1): transform(pts) = (theta.reshape(2, 3) @ Φᵀ)ᵀ."""
+        return np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
 
 
 def _tps_radial(r2):
@@ -52,6 +45,11 @@ def _tps_radial(r2):
     mask = r2 > 0
     out[mask] = r2[mask] * np.log(r2[mask])
     return out
+
+
+# largest TPS lattice side of a model or a theta file: the system matrix holds
+# (g^2+3)^2 values and its inversion costs O(g^6) (g = 32: 8.4 MB, ~0.3 s)
+TPS_MAX_GRID = 32
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,24 +115,19 @@ class TpsParams:
     def controls(self):
         return _tps_system(self.grid_n)[0]
 
-    def _basis(self, pts):
+    @staticmethod
+    def design(pts, grid_n):
+        """Φ(pts) (n, grid_n^2), the cached _tps_basis: transform(pts) =
+        pts + (theta.reshape(2, grid_n^2) @ Φᵀ)ᵀ."""
         pts = np.asarray(pts, dtype=np.float64)
-        return _tps_basis(self.grid_n, pts.shape, pts.tobytes())
+        return _tps_basis(grid_n, pts.shape, pts.tobytes())
 
     def transform(self, pts):
-        B = self._basis(pts)
+        B = self.design(pts, self.grid_n)
         k = self.grid_n * self.grid_n
         dx = B @ self.theta[:k]
         dy = B @ self.theta[k:]
         return pts + np.stack([dx, dy], axis=1)
-
-    def jacobian(self, pts):
-        B = self._basis(pts)
-        n, k = B.shape
-        J = np.zeros((n, 2, 2 * k))
-        J[:, 0, :k] = B
-        J[:, 1, k:] = B
-        return J
 
 
 def params_from_vector(family, vec, grid_n=3):
@@ -154,13 +147,19 @@ def identity_vector(family, grid_n=3):
     raise ValueError(f"unknown family {family!r}")
 
 
+def _lattice(size):
+    """0 for the 6 affine values, g for the 2*g^2 of a TPS on the g x g lattice."""
+    g = math.isqrt(size // 2)
+    if size != 6 and (not 2 <= g <= TPS_MAX_GRID or size != 2 * g * g):
+        raise ShapeError(f"theta must hold 6 values or 2*g^2 with 2 <= g <= {TPS_MAX_GRID}, "
+                         f"got {size}")
+    return 0 if size == 6 else g
+
+
 def params_from_length(vec):
-    """Parameters from an array of any shape, the family told by its size: 6
-    values are affine, 2*g^2 values with g >= 2 a TPS on the g x g lattice."""
-    g = math.isqrt(vec.size // 2)
-    if vec.size != 6 and (g < 2 or vec.size != 2 * g * g):
-        raise ShapeError(f"theta must hold 6 values or 2*g^2 with g >= 2, got {vec.size}")
-    return AffineParams(vec) if vec.size == 6 else TpsParams(vec, g)
+    """Parameters from an array of any shape, the family told by its size."""
+    g = _lattice(vec.size)
+    return TpsParams(vec, g) if g else AffineParams(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +174,28 @@ def make_regular_grid(n_per_side):
     return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
 
 
-def tgd(theta, theta_gt, grid):
-    """Mean squared distance between grids transformed by prediction vs truth.
+def tgd(thetas, thetas_gt, grid):
+    """Per-pair mean squared distance between the grid points moved by the
+    predicted parameter vectors thetas (B, Q) and by the ground truths
+    thetas_gt (B, Q), with its gradient wrt thetas: (losses (B,), grads (B, Q)).
 
-    Returns (loss, gradient wrt theta's parameter vector); theta_gt is constant.
+    Both families move a point by theta.reshape(2, m) @ Φ(point) on top of a
+    base that does not depend on theta, so a pair's distance is that of the
+    residual r = (theta - theta_gt).reshape(2, m) @ Φᵀ alone.
     """
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
-    if theta.family != theta_gt.family:
-        raise ValueError(f"family mismatch: {theta.family} vs {theta_gt.family}")
-    p = theta.transform(grid)
-    q = theta_gt.transform(grid)
-    diff = p - q  # (n,2)
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    J = theta.jacobian(grid)  # (n,2,Q)
-    grad = 2.0 * np.einsum("nd,ndq->q", diff, J) / grid.shape[0]
-    return loss, grad
-
-
-def tgd_value(theta, theta_gt, grid):
-    return tgd(theta, theta_gt, grid)[0]
+    if thetas.shape != thetas_gt.shape:
+        raise ValueError(f"predicted thetas {thetas.shape} and ground truths "
+                         f"{thetas_gt.shape} differ in count or family")
+    assert_finite(thetas, "predicted theta")
+    B, Q = thetas.shape
+    g = _lattice(Q)
+    phi = TpsParams.design(grid, g) if g else AffineParams.design(grid)  # (n, m)
+    r = (thetas - thetas_gt).reshape(B, 2, -1) @ phi.T  # (B, 2, n)
+    losses = np.mean(np.sum(r * r, axis=1), axis=1)
+    grads = (2.0 / grid.shape[0]) * (r @ phi).reshape(B, Q)
+    return losses, grads
 
 
 # ---------------------------------------------------------------------------

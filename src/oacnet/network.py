@@ -58,9 +58,10 @@ class ModelConfig(storage.ConfigCodec):
         for key in ("D", "N", "encoder_channels", "g_hidden", "g_out", "s_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 2 <= self.tps_grid <= geometry.TPS_MAX_GRID:
+            raise ValueError(f"tps_grid must be in [2, {geometry.TPS_MAX_GRID}], "
+                             f"got {self.tps_grid}")
         geometry.identity_vector(self.family, self.tps_grid)  # refuses an unknown family
-        if self.tps_grid < 2:
-            raise ValueError(f"tps_grid must be >= 2, got {self.tps_grid}")
         if self.oac_path not in ("direct", "reordered"):
             raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
         if self.H < self.enc_kernel or self.W < self.enc_kernel:

@@ -106,13 +106,6 @@ def load_image_directory(path):
 # Pair generation
 
 
-@dataclass
-class TrainingPair:
-    source: np.ndarray  # C x H x W crop
-    target: np.ndarray  # warped crop of the same image
-    theta_gt: object  # transform params in the sampled family
-
-
 def default_pad(image_hw):
     return math.ceil(0.25 * min(image_hw))
 
@@ -129,7 +122,7 @@ def generate_pair(image, family, pad, rng, grid_n=3):
     needed = math.ceil(excess * (min(H, W) - 1) / 2.0 + 1e-9) + 1
     use_pad = min(max(pad, needed), min(H, W) - 1)
     src, trg = geometry.mirror_pad_center_crop(image, use_pad, theta)
-    return TrainingPair(source=src, target=trg, theta_gt=theta)
+    return src, trg, theta
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +207,8 @@ def build_pairs(images, provider, config, rng):
     batch = []
     for image in images:
         pad = default_pad(image.shape[1:])
-        pair = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
-        batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
+        src, trg, theta_gt = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
+        batch.append((provider(src), provider(trg), theta_gt))
     return batch
 
 
@@ -242,15 +235,9 @@ def batch_loss_and_grads(model, batch, loss_grid, mode="train"):
     train mode. Gradient reduction over samples happens inside one batched
     backward pass with a fixed sample order."""
     theta_vecs, _ = predict(model, batch, mode)
-    B = len(batch)
-    losses = np.zeros(B)
-    dtheta = np.zeros_like(theta_vecs)
-    for i, (_, _, theta_gt) in enumerate(batch):
-        theta = model.theta_params(theta_vecs[i])
-        losses[i], g = geometry.tgd(theta, theta_gt, loss_grid)
-        dtheta[i] = g / B
+    losses, grads = geometry.tgd(theta_vecs, np.stack([b[2].theta for b in batch]), loss_grid)
     if mode == "train":
-        model.backward(dtheta)
+        model.backward(grads / len(batch))
     return float(losses.mean())
 
 
@@ -299,9 +286,10 @@ def train(config: TrainConfig, log_fn=None):
 def evaluate_tgd(thetas, batch):
     """Mean grid distance of the transforms `thetas`, one per pair, to the
     batch's ground truths. Identity transforms give the identity baseline."""
-    loss_grid = geometry.make_regular_grid(20)
-    return float(np.mean([geometry.tgd_value(theta, theta_gt, loss_grid)
-                          for theta, (_, _, theta_gt) in zip(thetas, batch, strict=True)]))
+    losses, _ = geometry.tgd(np.stack([theta.theta for theta in thetas]),
+                             np.stack([b[2].theta for b in batch]),
+                             geometry.make_regular_grid(20))
+    return float(losses.mean())
 
 
 def evaluate_pck_synthetic(thetas, batch, alpha=0.1, image_hw=(32, 32), seed=0):

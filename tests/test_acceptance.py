@@ -160,11 +160,10 @@ def test_criterion_3_gradient_integrity():
             )
 
             def tgd_loss(compute_grads):
-                params = geometry.params_from_vector(family, theta.value)
-                loss, grad = geometry.tgd(params, gt, grid)
+                losses, grads = geometry.tgd(theta.value[None], gt.theta[None], grid)
                 if compute_grads:
-                    theta.grad += grad
-                return loss
+                    theta.grad += grads[0]
+                return losses[0]
 
             report = grad_check(tgd_loss, [theta])
             assert max(report.values()) <= 1e-4, report
@@ -182,15 +181,11 @@ def test_criterion_3_gradient_integrity():
 
         def model_loss(compute_grads):
             theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
-            total = 0.0
-            dtheta = np.zeros_like(theta_vecs)
-            for i in range(theta_vecs.shape[0]):
-                loss, grad = geometry.tgd(model.theta_params(theta_vecs[i]), gt, grid)
-                total += loss
-                dtheta[i] = grad
+            losses, grads = geometry.tgd(
+                theta_vecs, np.broadcast_to(gt.theta, theta_vecs.shape), grid)
             if compute_grads:
-                model.backward(dtheta / theta_vecs.shape[0])
-            return total / theta_vecs.shape[0]
+                model.backward(grads / theta_vecs.shape[0])
+            return losses.mean()
 
         with bn_stats_restored(model.batch_norms()):
             report = grad_check(model_loss, model.parameters(), max_entries=6)
@@ -234,13 +229,14 @@ def test_criterion_5_geometry_identities():
             for _ in range(20):
                 theta = geometry.sample_random_transform(family, rng)
                 grid = geometry.make_regular_grid(int(rng.integers(2, 25)))
-                assert geometry.tgd_value(theta, theta, grid) == 0.0
+                assert geometry.tgd(theta.theta[None], theta.theta[None], grid)[0][0] == 0.0
         for _ in range(50):
             tx, ty = rng.uniform(-0.5, 0.5, size=2)
             theta = geometry.AffineParams(np.array([1.0, 0.0, tx, 0.0, 1.0, ty]))
             ident = geometry.AffineParams.identity()
             grid = geometry.make_regular_grid(int(rng.integers(2, 25)))
-            assert abs(geometry.tgd_value(theta, ident, grid) - (tx**2 + ty**2)) <= 1e-12
+            loss = geometry.tgd(theta.theta[None], ident.theta[None], grid)[0][0]
+            assert abs(loss - (tx**2 + ty**2)) <= 1e-12
         zero_tps = geometry.TpsParams(np.zeros(18))
         pts = rng.uniform(-1, 1, size=(500, 2))
         assert np.abs(zero_tps.transform(pts) - pts).max() <= 1e-10

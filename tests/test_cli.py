@@ -3,6 +3,7 @@ and printed reports."""
 
 import shutil
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,16 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
         assert_one_line_error(capsys, "bad config", "tps_grid")
+        assert not out.exists()
+
+    def test_huge_tps_grid_exits_1_at_once(self, tmp_path, capsys):
+        # a range check refuses it before any lattice-sized array is allocated
+        config = write_config(tmp_path / "tps.cfg", family="tps", tps_grid="100000")
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert main(["train", "--config", config, "--out-dir", str(out)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert_one_line_error(capsys, f"bad config: {config}: tps_grid must be in", "100000")
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides,fragment", [
@@ -407,8 +418,9 @@ class TestEvalCommand:
         pad = pipeline.default_pad((tconf.image_size, tconf.image_size))
         batch = []
         for image in images:
-            pair = pipeline.generate_pair(image, tconf.family, pad, rng, grid_n=tconf.tps_grid)
-            batch.append((provider(pair.source), provider(pair.target), pair.theta_gt))
+            src, trg, theta_gt = pipeline.generate_pair(image, tconf.family, pad, rng,
+                                                        grid_n=tconf.tps_grid)
+            batch.append((provider(src), provider(trg), theta_gt))
         theta_vecs, _ = pipeline.predict(model, batch)
         thetas = [model.theta_params(v) for v in theta_vecs]
         mean_tgd = pipeline.evaluate_tgd(thetas, batch)
@@ -526,6 +538,31 @@ class TestEvalCommand:
                      "--pairs", "2"]) == 2
         assert_one_line_error(capsys, "affine params contains NaN/Inf")
 
+    @pytest.mark.parametrize("edits", [
+        {"seed = 0": "seed = 5"},
+        {"feature_dim = 4": "feature_dim = 6"},
+        {"seed = 0": "seed = 5", "feature_dim = 4": "feature_dim = 6"},
+    ], ids=["seed", "feature-dim", "both"])
+    def test_train_config_disagreeing_with_checkpoint_exits_1(self, edits, trained_dir,
+                                                              tmp_path, capsys):
+        # eval and warp take the provider and pair synthesis from train_config.txt,
+        # so it must describe the model the checkpoint holds
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        tconf = run / "train_config.txt"
+        text = tconf.read_text()
+        for old, new in edits.items():
+            assert f"{old}\n" in text
+            text = text.replace(f"{old}\n", f"{new}\n")
+        tconf.write_text(text)
+        src, _ = save_ramp(tmp_path / "in.pgm")
+        ckpt = str(run / "checkpoint")
+        for argv in (["eval", "--checkpoint", ckpt, "--pairs", "5"],
+                     ["warp", "--checkpoint", ckpt, "--image", src,
+                      "--out", str(tmp_path / "o.pgm")]):
+            assert main(argv) == 1
+            assert_one_line_error(capsys, str(tconf), str(run / "checkpoint" / "config.txt"))
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
         manifest = run / "checkpoint" / "manifest.txt"
@@ -622,6 +659,16 @@ class TestWarpCommand:
             assert_one_line_error(capsys, "theta must hold 6 values", f"got {size}")
             assert not (tmp_path / "o.pgm").exists()
 
+    def test_theta_lattice_above_bound_exits_1(self, tmp_path, capsys):
+        # the tps_grid bound holds for theta files too: no 33x33 lattice system is built
+        src, _ = save_ramp(tmp_path / "in.pgm")
+        size = 2 * (geometry.TPS_MAX_GRID + 1) ** 2
+        storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(size))
+        assert main(["warp", "--image", src, "--theta-file",
+                     str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
+        assert_one_line_error(capsys, "theta must hold 6 values", f"got {size}")
+        assert not (tmp_path / "o.pgm").exists()
+
     @pytest.mark.parametrize("grid_n", [2, 3, 4])
     def test_tps_theta_of_any_lattice(self, grid_n, tmp_path, capsys):
         # 2*g^2 values warp as a TPS on the g x g lattice, stored in any shape
@@ -636,12 +683,14 @@ class TestWarpCommand:
             storage.load_image(src), geometry.TpsParams(theta, grid_n)))
         assert out.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
+    # a numpy RuntimeWarning would print lines ahead of the error line; raised
+    # as an error here, since pytest records warnings instead of printing them
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_warp_exits_2(self, tmp_path, capsys):
         src, _ = save_ramp(tmp_path / "in.pgm")
         storage.save_tensor(str(tmp_path / "theta.oact"), np.full(6, 1e300))
-        with np.errstate(all="ignore"):
-            code = main(["warp", "--image", src, "--theta-file",
-                         str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")])
+        code = main(["warp", "--image", src, "--theta-file",
+                     str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")])
         assert code == 2
         assert_one_line_error(capsys, "NaN/Inf")
         assert not (tmp_path / "o.pgm").exists()

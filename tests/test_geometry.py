@@ -18,7 +18,6 @@ from oacnet.geometry import (
     pck,
     sample_random_transform,
     tgd,
-    tgd_value,
 )
 from oacnet.tensor import NumericError, Parameter
 
@@ -97,58 +96,72 @@ class TestMakeRegularGrid:
 class TestTgd:
     def test_zero_at_equal_params(self):
         grid = make_regular_grid(4)
-        theta = AffineParams([1.02, 0.1, -0.2, 0.05, 0.97, 0.3])
-        loss, grad = tgd(theta, AffineParams(theta.theta.copy()), grid)
-        assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(6))
+        theta = np.array([[1.02, 0.1, -0.2, 0.05, 0.97, 0.3]])
+        losses, grads = tgd(theta, theta.copy(), grid)
+        assert np.array_equal(losses, [0.0])
+        assert np.array_equal(grads, np.zeros((1, 6)))
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_pure_translation(self, n):
         grid = make_regular_grid(n)
         tx, ty = 0.17, -0.32
-        theta = AffineParams([1, 0, tx, 0, 1, ty])
-        loss = tgd_value(theta, AffineParams.identity(), grid)
-        assert np.isclose(loss, tx**2 + ty**2, atol=1e-12)
+        losses, _ = tgd(np.array([[1, 0, tx, 0, 1, ty]]), AffineParams.identity().theta[None],
+                        grid)
+        assert np.isclose(losses[0], tx**2 + ty**2, atol=1e-12)
 
     def test_matches_pointwise_reference(self):
+        # each row is the mean over grid points of the squared distance between
+        # the two transforms' images of the point: affine, 2x2 and 3x3 TPS
         rng = np.random.default_rng(2)
         grid = make_regular_grid(5)
-        a = AffineParams(rng.uniform(-1, 1, 6))
-        b = AffineParams(rng.uniform(-1, 1, 6))
-        loss = tgd_value(a, b, grid)
-        acc = 0.0
-        for x, y in grid:
-            pa = a.transform(np.array([[x, y]]))[0]
-            pb = b.transform(np.array([[x, y]]))[0]
-            acc += (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
-        assert np.isclose(loss, acc / len(grid), atol=1e-12)
+        for q in (6, 8, 18):
+            thetas = rng.uniform(-1, 1, (4, q))
+            truths = rng.uniform(-1, 1, (4, q))
+            losses, _ = tgd(thetas, truths, grid)
+            assert losses.shape == (4,)
+            for i in range(4):
+                a = geometry.params_from_length(thetas[i])
+                b = geometry.params_from_length(truths[i])
+                acc = 0.0
+                for x, y in grid:
+                    pa = a.transform(np.array([[x, y]]))[0]
+                    pb = b.transform(np.array([[x, y]]))[0]
+                    acc += (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
+                assert abs(losses[i] - acc / len(grid)) <= 1e-12
 
     def test_family_mismatch_rejected(self):
         grid = make_regular_grid(3)
         with pytest.raises(ValueError):
-            tgd(AffineParams.identity(), TpsParams(np.zeros(18)), grid)
+            tgd(AffineParams.identity().theta[None], np.zeros((1, 18)), grid)
+
+    def test_empty_grid_and_non_finite_prediction_rejected(self):
+        theta = AffineParams.identity().theta[None]
+        with pytest.raises(ValueError):
+            tgd(theta, theta, np.zeros((0, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                tgd(np.full((1, 6), bad), theta, make_regular_grid(3))
 
     def test_symmetric_value(self):
         rng = np.random.default_rng(3)
         grid = make_regular_grid(6)
-        a = AffineParams(rng.uniform(-1, 1, 6))
-        b = AffineParams(rng.uniform(-1, 1, 6))
-        assert np.isclose(tgd_value(a, b, grid), tgd_value(b, a, grid), atol=1e-14)
+        a = rng.uniform(-1, 1, (3, 6))
+        b = rng.uniform(-1, 1, (3, 6))
+        assert np.allclose(tgd(a, b, grid)[0], tgd(b, a, grid)[0], atol=1e-14)
 
     @pytest.mark.parametrize("family,q", [("affine", 6), ("tps", 18)])
     def test_gradient(self, family, q):
         rng = np.random.default_rng(4)
         grid = make_regular_grid(5)
-        gt = sample_random_transform(family, rng)
-        vec = geometry.identity_vector(family) + rng.uniform(-0.1, 0.1, q)
+        truths = np.stack([sample_random_transform(family, rng).theta for _ in range(3)])
+        vec = geometry.identity_vector(family) + rng.uniform(-0.1, 0.1, (3, q))
         p = Parameter(vec, "theta")
 
         def loss_fn(compute_grads):
-            theta = geometry.params_from_vector(family, p.value)
-            loss, grad = tgd(theta, gt, grid)
+            losses, grads = tgd(p.value, truths, grid)
             if compute_grads:
-                p.grad += grad
-            return loss
+                p.grad += grads
+            return losses.sum()
 
         report = grad_check(loss_fn, [p])
         assert max(report.values()) < 1e-4
@@ -381,7 +394,7 @@ class TestSamplerEquivalence:
                     make_regular_grid(20)):
             fresh = uncached(grid_n, pts.shape, pts.tobytes())
             for _ in range(2):  # the computing call, then the cached one
-                cached = theta._basis(pts)
+                cached = TpsParams.design(pts, grid_n)
                 assert cached.tobytes() == fresh.tobytes()
                 assert not cached.flags.writeable
             moved = pts + np.stack([fresh @ theta.theta[: grid_n**2],
@@ -389,15 +402,16 @@ class TestSamplerEquivalence:
             assert theta.transform(pts).tobytes() == moved.tobytes()
         # the cache is keyed by values: a mutated array gets its new values' basis
         pts = make_regular_grid(20)
-        first = theta._basis(pts)
+        first = TpsParams.design(pts, grid_n)
         pts[0] = 0.5
-        assert theta._basis(pts).tobytes() == uncached(grid_n, pts.shape, pts.tobytes()).tobytes()
-        assert not np.array_equal(first, theta._basis(pts))
+        assert TpsParams.design(pts, grid_n).tobytes() == \
+            uncached(grid_n, pts.shape, pts.tobytes()).tobytes()
+        assert not np.array_equal(first, TpsParams.design(pts, grid_n))
         # and a fresh loss grid holding equal values is a hit
-        truth = TpsParams(np.zeros(2 * grid_n * grid_n), grid_n)
-        tgd(theta, truth, make_regular_grid(20))
+        truth = np.zeros((1, 2 * grid_n * grid_n))
+        tgd(theta.theta[None], truth, make_regular_grid(20))
         before = geometry._tps_basis.cache_info()
-        tgd(theta, truth, make_regular_grid(20))
+        tgd(theta.theta[None], truth, make_regular_grid(20))
         after = geometry._tps_basis.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
 

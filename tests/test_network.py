@@ -64,6 +64,13 @@ class TestModelConfig:
         with pytest.raises(storage.StorageError, match="tps_grid"):
             config_from_text(tmp_path, f"family = tps\nD = 8\nH = 8\nW = 8\ntps_grid = {grid}\n")
 
+    def test_tps_grid_upper_bound(self):
+        top = geometry.TPS_MAX_GRID
+        assert ModelConfig(family="tps", D=8, H=8, W=8, tps_grid=top).Q == 2 * top * top
+        for family in ("tps", "affine"):
+            with pytest.raises(ValueError, match=f"tps_grid must be in \\[2, {top}\\]"):
+                ModelConfig(family=family, D=8, H=8, W=8, tps_grid=top + 1)
+
     def test_unknown_oac_path_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="oac_path"):
             ModelConfig(oac_path="bogus")
@@ -266,15 +273,11 @@ class TestForward:
 
         def loss_fn(compute_grads):
             theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
-            total = 0.0
-            dtheta = np.zeros_like(theta_vecs)
-            for i in range(theta_vecs.shape[0]):
-                loss, grad = geometry.tgd(model.theta_params(theta_vecs[i]), gt, grid)
-                total += loss
-                dtheta[i] = grad
+            losses, grads = geometry.tgd(
+                theta_vecs, np.broadcast_to(gt.theta, theta_vecs.shape), grid)
             if compute_grads:
-                model.backward(dtheta / theta_vecs.shape[0])
-            return total / theta_vecs.shape[0]
+                model.backward(grads / theta_vecs.shape[0])
+            return losses.mean()
 
         with bn_stats_restored(model.batch_norms()):
             report = grad_check(loss_fn, model.parameters(), max_entries=6)

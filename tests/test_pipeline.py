@@ -185,27 +185,27 @@ class TestGeneratePair:
         image = make_procedural_image(np.random.default_rng(1), 32, 3)
         a = generate_pair(image, "affine", 8, np.random.default_rng(5))
         b = generate_pair(image, "affine", 8, np.random.default_rng(5))
-        assert np.array_equal(a.source, b.source)
-        assert np.array_equal(a.target, b.target)
-        assert np.array_equal(a.theta_gt.theta, b.theta_gt.theta)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[2].theta, b[2].theta)
 
     def test_crops_share_shape(self):
         image = make_procedural_image(np.random.default_rng(2), 32, 3)
         for family in ("affine", "tps"):
-            pair = generate_pair(image, family, 8, np.random.default_rng(3))
-            assert pair.source.shape == pair.target.shape
-            assert pair.theta_gt.family == family
+            source, target, theta_gt = generate_pair(image, family, 8, np.random.default_rng(3))
+            assert source.shape == target.shape
+            assert theta_gt.family == family
 
     def test_sampled_pairs_have_positive_identity_loss(self):
         # Any non-identity draw must cost the identity prediction something.
         rng = np.random.default_rng(11)
         image = make_procedural_image(rng, 32, 1)
         grid = geometry.make_regular_grid(20)
-        ident = geometry.params_from_vector("affine", geometry.identity_vector("affine"))
+        ident = geometry.identity_vector("affine")[None]
         vals = []
         for _ in range(1000):
-            pair = generate_pair(image, "affine", 8, rng)
-            vals.append(geometry.tgd_value(ident, pair.theta_gt, grid))
+            _, _, theta_gt = generate_pair(image, "affine", 8, rng)
+            vals.append(geometry.tgd(ident, theta_gt.theta[None], grid)[0][0])
         assert min(vals) > 0.0
 
 
@@ -468,7 +468,7 @@ class TestEvaluate:
         f_trg = np.stack([b[1] for b in batch])
         theta_vecs, _ = model.forward_features(f_src, f_trg, mode="eval")
         manual = np.mean([
-            geometry.tgd_value(model.theta_params(theta_vecs[i]), gt, grid)
+            geometry.tgd(theta_vecs[i][None], gt.theta[None], grid)[0][0]
             for i, (_, _, gt) in enumerate(batch)
         ])
         assert val == pytest.approx(manual, rel=1e-12)
