@@ -89,9 +89,9 @@ def cmd_train(args):
         return 2
     _save_run(args.out_dir, config, model, history)
     theta_vecs, _ = pipeline.predict(model, val_batch)
-    val_tgd = pipeline.evaluate_tgd([model.theta_params(v) for v in theta_vecs], val_batch)
-    identity = model.theta_params(model.identity_offset)
-    baseline = pipeline.evaluate_tgd([identity] * len(val_batch), val_batch)
+    val_tgd = pipeline.evaluate_tgd(theta_vecs, val_batch)
+    baseline = pipeline.evaluate_tgd(
+        np.broadcast_to(model.identity_offset, theta_vecs.shape), val_batch)
     print(f"final train loss: {history[-1][1]:.6f}")
     print(f"validation TGD: {val_tgd:.6f} (identity baseline {baseline:.6f})")
     print(f"checkpoint: {os.path.join(args.out_dir, 'checkpoint')}")
@@ -191,22 +191,18 @@ def _dump_attention(base, alpha):
     storage.save_image(base + ".pgm", scaled[None])
 
 
-def _load_theta(path):
-    """Parameters from an OACT file of any shape, by geometry.params_from_length."""
-    return geometry.params_from_length(storage.load_tensor(path))
-
-
 def cmd_eval(args):
     _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
     if args.image_size < 2:
         raise ValueError(f"--image-size must be at least 2, got {args.image_size}")
-    predicted_theta = _load_theta(args.theta_file) if args.theta_file else None
+    predicted_theta = (geometry.theta_vector(storage.load_tensor(args.theta_file))
+                       if args.theta_file else None)
 
     if args.keypoints_csv:
         pairs = storage.load_keypoints_csv(args.keypoints_csv)
-        theta = predicted_theta or geometry.AffineParams.identity()
+        theta = geometry.identity_vector("affine") if predicted_theta is None else predicted_theta
         predicted = {pid: theta for pid in pairs}
         image_hw = (args.image_size, args.image_size)
         score = geometry.pck(pairs, predicted, args.alpha, image_hw)
@@ -225,10 +221,9 @@ def cmd_eval(args):
     ]
     batch = pipeline.build_pairs(images, pipeline.build_provider(tconf), tconf, rng)
     theta_vecs, state = pipeline.predict(model, batch)
-    thetas = [model.theta_params(v) for v in theta_vecs]
-    mean_tgd = pipeline.evaluate_tgd(thetas, batch)
+    mean_tgd = pipeline.evaluate_tgd(theta_vecs, batch)
     pck_score = pipeline.evaluate_pck_synthetic(
-        thetas, batch, alpha=args.alpha, image_hw=(tconf.image_size, tconf.image_size),
+        theta_vecs, batch, alpha=args.alpha, image_hw=(tconf.image_size, tconf.image_size),
         seed=args.seed,
     )
     print(f"mean TGD over {len(batch)} synthetic pairs: {mean_tgd:.6f}")
@@ -246,18 +241,18 @@ def cmd_warp(args):
     image = storage.load_image(args.image)
     _print_config({"image": args.image, "out": args.out})
     if args.theta_file:
-        warped = geometry.bilinear_warp(image, _load_theta(args.theta_file))
+        theta = geometry.theta_vector(storage.load_tensor(args.theta_file))
+        warped = geometry.bilinear_warp(image, theta)
         storage.save_image(args.out, warped)
         print(f"warped image written to {args.out}")
         return 0
     if args.checkpoint:
         model, tconf = _load_checkpoint(args.checkpoint)
         rng = np.random.default_rng(args.seed)
-        provider = pipeline.build_provider(tconf, channels=image.shape[0])
         theta_vecs, state = pipeline.predict(
-            model, pipeline.build_pairs([image], provider, tconf, rng))
+            model, pipeline.build_pairs([image], pipeline.build_provider(tconf), tconf, rng))
         # a pair's source crop is its image itself
-        warped = geometry.bilinear_warp(image, model.theta_params(theta_vecs[0]))
+        warped = geometry.bilinear_warp(image, theta_vecs[0])
         storage.save_image(args.out, warped)
         _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
         print(f"warped pair written to {args.out} (+ attention dumps)")

@@ -4,6 +4,9 @@ and the correct-keypoint metric.
 Coordinate convention: normalized [-1,1]^2 with (-1,-1) at the top-left pixel
 center; x is the column axis, y the row axis. Every transform, grid, and warp
 in the library shares this frame.
+
+A transform is a float64 parameter vector theta whose size tells its family
+(_lattice): 6 values are affine, 2*g^2 a thin-plate spline on the g x g lattice.
 """
 
 from __future__ import annotations
@@ -14,29 +17,6 @@ import math
 import numpy as np
 
 from .tensor import NumericError, ShapeError, assert_finite
-
-
-class AffineParams:
-    """Six parameters (a11, a12, tx, a21, a22, ty) acting on normalized coords."""
-
-    family = "affine"
-
-    def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=np.float64).reshape(6)
-        assert_finite(self.theta, "affine params")
-
-    @staticmethod
-    def identity():
-        return AffineParams([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
-    def transform(self, pts):
-        a11, a12, tx, a21, a22, ty = self.theta
-        return pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
-
-    @staticmethod
-    def design(pts):
-        """Φ(pts) (n, 3), rows (x, y, 1): transform(pts) = (theta.reshape(2, 3) @ Φᵀ)ᵀ."""
-        return np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
 
 
 def _tps_radial(r2):
@@ -91,57 +71,10 @@ def _tps_basis(grid_n, shape, data):
     return B
 
 
-class TpsParams:
-    """Thin-plate spline on a fixed regular control lattice.
-
-    theta holds the x displacements of all anchors followed by the y
-    displacements (Q = 2 * grid_n^2; 18 for the default 3x3 lattice). Zero
-    displacements give the identity map, and the interpolant maps each anchor
-    exactly to anchor + displacement.
-    """
-
-    family = "tps"
-
-    def __init__(self, theta, grid_n=3):
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        k = grid_n * grid_n
-        if theta.size != 2 * k:
-            raise ShapeError(f"TPS with {grid_n}x{grid_n} lattice needs {2*k} params, got {theta.size}")
-        assert_finite(theta, "tps params")
-        self.theta = theta
-        self.grid_n = grid_n
-
-    @property
-    def controls(self):
-        return _tps_system(self.grid_n)[0]
-
-    @staticmethod
-    def design(pts, grid_n):
-        """Φ(pts) (n, grid_n^2), the cached _tps_basis: transform(pts) =
-        pts + (theta.reshape(2, grid_n^2) @ Φᵀ)ᵀ."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return _tps_basis(grid_n, pts.shape, pts.tobytes())
-
-    def transform(self, pts):
-        B = self.design(pts, self.grid_n)
-        k = self.grid_n * self.grid_n
-        dx = B @ self.theta[:k]
-        dy = B @ self.theta[k:]
-        return pts + np.stack([dx, dy], axis=1)
-
-
-def params_from_vector(family, vec, grid_n=3):
-    if family == "affine":
-        return AffineParams(vec)
-    if family == "tps":
-        return TpsParams(vec, grid_n)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def identity_vector(family, grid_n=3):
     """The family's identity parameters; their size is its parameter count."""
     if family == "affine":
-        return AffineParams.identity().theta
+        return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     if family == "tps":
         return np.zeros(2 * grid_n * grid_n)
     raise ValueError(f"unknown family {family!r}")
@@ -156,10 +89,40 @@ def _lattice(size):
     return 0 if size == 6 else g
 
 
-def params_from_length(vec):
-    """Parameters from an array of any shape, the family told by its size."""
-    g = _lattice(vec.size)
-    return TpsParams(vec, g) if g else AffineParams(vec)
+def theta_vector(vec):
+    """The transform held in an array of any shape: its values as a flat
+    float64 vector, which must have a family's size and be finite."""
+    theta = np.asarray(vec, dtype=np.float64).reshape(-1)
+    _lattice(theta.size)
+    return assert_finite(theta, "theta")
+
+
+def _design(pts, g):
+    """Φ(pts) (n, m) of the family with lattice g (0: affine). A transform
+    moves pts by (theta.reshape(2, m) @ Φᵀ)ᵀ on top of a theta-free base: 0
+    for affine, whose Φ rows are (x, y, 1); pts itself for a TPS, whose Φ is
+    the cached _tps_basis."""
+    if g:
+        pts = np.asarray(pts, dtype=np.float64)
+        return _tps_basis(g, pts.shape, pts.tobytes())
+    return np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
+
+
+def transform(theta, pts):
+    """T_theta(pts) for points (n, 2), the family told by theta's size.
+
+    Affine theta is (a11, a12, tx, a21, a22, ty). A TPS theta holds the x
+    displacements of the anchors of its regular g x g lattice followed by
+    the y displacements: zero displacements give the identity map, and the
+    interpolant maps each anchor exactly to anchor + displacement.
+    """
+    g = _lattice(theta.size)
+    if g:
+        B = _design(pts, g)
+        k = g * g
+        return pts + np.stack([B @ theta[:k], B @ theta[k:]], axis=1)
+    a11, a12, tx, a21, a22, ty = theta
+    return pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +153,7 @@ def tgd(thetas, thetas_gt, grid):
                          f"{thetas_gt.shape} differ in count or family")
     assert_finite(thetas, "predicted theta")
     B, Q = thetas.shape
-    g = _lattice(Q)
-    phi = TpsParams.design(grid, g) if g else AffineParams.design(grid)  # (n, m)
+    phi = _design(grid, _lattice(Q))  # (n, m)
     r = (thetas - thetas_gt).reshape(B, 2, -1) @ phi.T  # (B, 2, n)
     losses = np.mean(np.sum(r * r, axis=1), axis=1)
     grads = (2.0 / grid.shape[0]) * (r @ phi).reshape(B, Q)
@@ -223,16 +185,15 @@ def pck(pairs, predicted, alpha_pck, image_hw):
     """Pooled fraction of keypoints transformed to within alpha*max(h,w) of target.
 
     pairs: dict pair_id -> {src (n,2) pixel, trg (n,2) pixel, bbox_h, bbox_w};
-    predicted: dict pair_id -> transform params.
+    predicted: dict pair_id -> theta vector.
     """
     if alpha_pck <= 0:
         raise ValueError("alpha must be positive")
     total = 0
     correct = 0
     for pid, rec in pairs.items():
-        theta = predicted[pid]
         src_n = normalize_points(rec["src"], image_hw)
-        mapped = denormalize_points(theta.transform(src_n), image_hw)
+        mapped = denormalize_points(transform(predicted[pid], src_n), image_hw)
         dist = np.sqrt(np.sum((mapped - rec["trg"]) ** 2, axis=1))
         thresh = alpha_pck * max(rec["bbox_h"], rec["bbox_w"])
         correct += int(np.sum(dist < thresh))
@@ -319,7 +280,7 @@ def _warp_crop(image, pad, theta, what):
     """The (C,H,W) crop whose pixel center g samples, at T(g), the image as
     mirror_pad(image, pad) would extend it (pad 0: reflected at its edges)."""
     C, H, W = image.shape
-    mapped = theta.transform(_crop_grid(H, W)).T
+    mapped = transform(theta, _crop_grid(H, W)).T
     # crop-normalized -> padded-image pixel coords, rows x then y
     pix = pad + (mapped + 1.0) * np.array([[W - 1.0], [H - 1.0]]) / 2.0
     return assert_finite(_sample_flat(image, pix, pad).reshape(C, H, W), what)
@@ -365,7 +326,7 @@ def _border_probe():
 
 def max_border_displacement(theta):
     """Largest |T(g) - g| (per axis, normalized units) over the crop border."""
-    mapped = theta.transform(_border_probe())
+    mapped = transform(theta, _border_probe())
     over = np.maximum(np.abs(mapped) - 1.0, 0.0)
     return float(over.max())
 
@@ -405,7 +366,7 @@ MIN_ABS_DET = 0.1
 
 
 def sample_random_transform(family, rng, grid_n=3):
-    """Draw transform params near identity; deterministic given the generator state."""
+    """Draw a theta vector near identity; deterministic given the generator state."""
     if family == "affine":
         while True:
             rot = rng.uniform(-AFFINE_MAX_ROTATION, AFFINE_MAX_ROTATION)
@@ -420,9 +381,7 @@ def sample_random_transform(family, rng, grid_n=3):
             Sc = np.array([[sx, 0.0], [0.0, sy]])
             A = R @ Sh @ Sc
             if abs(np.linalg.det(A)) >= MIN_ABS_DET:
-                return AffineParams([A[0, 0], A[0, 1], tx, A[1, 0], A[1, 1], ty])
+                return np.array([A[0, 0], A[0, 1], tx, A[1, 0], A[1, 1], ty])
     if family == "tps":
-        k = grid_n * grid_n
-        disp = rng.uniform(-TPS_MAX_DISPLACEMENT, TPS_MAX_DISPLACEMENT, size=2 * k)
-        return TpsParams(disp, grid_n)
+        return rng.uniform(-TPS_MAX_DISPLACEMENT, TPS_MAX_DISPLACEMENT, size=2 * grid_n * grid_n)
     raise ValueError(f"unknown family {family!r}")

@@ -58,6 +58,8 @@ class ModelConfig(storage.ConfigCodec):
         for key in ("D", "N", "encoder_channels", "g_hidden", "g_out", "s_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.tps_grid <= geometry.TPS_MAX_GRID:
             raise ValueError(f"tps_grid must be in [2, {geometry.TPS_MAX_GRID}], "
                              f"got {self.tps_grid}")
@@ -251,7 +253,8 @@ class AttentiveAlignmentModel:
             corr.oac_backward_reordered(cache.pop("oac"), self.bank, dh)
 
     def theta_params(self, theta_vec):
-        return geometry.params_from_vector(self.config.family, theta_vec, self.config.tps_grid)
+        """The transform of one predicted vector, as geometry.theta_vector."""
+        return geometry.theta_vector(theta_vec)
 
     # -- persistence ----------------------------------------------------------
 

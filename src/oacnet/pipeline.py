@@ -44,16 +44,15 @@ class RandomProjectionProvider:
         self.W = W
         self.fy = image_size // H
         self.fx = image_size // W
-        self.image_size = image_size
+        self.shape = (channels, image_size, image_size)
         rng = np.random.default_rng(seed)
         patch_dim = channels * self.fy * self.fx
         self.projection = rng.standard_normal((D, patch_dim)) / math.sqrt(patch_dim)
 
     def __call__(self, image):
-        C, Hi, Wi = image.shape
-        if Hi != self.image_size or Wi != self.image_size:
-            raise ShapeError(f"provider expects {self.image_size}^2 images, got {Hi}x{Wi}")
-        patches = image.reshape(C, self.H, self.fy, self.W, self.fx)
+        if image.shape != self.shape:
+            raise ShapeError(f"provider expects {self.shape} images, got {image.shape}")
+        patches = image.reshape(self.shape[0], self.H, self.fy, self.W, self.fx)
         patches = patches.transpose(1, 3, 0, 2, 4).reshape(self.H * self.W, -1)
         feat = (patches @ self.projection.T).T.reshape(self.D, self.H, self.W)
         return l2_normalize_channels(np.maximum(feat, 0.0))
@@ -92,11 +91,16 @@ def make_procedural_image(rng, size=32, channels=16):
     return np.clip(img, 0.0, max(img.max(), 1e-9)) / max(img.max(), 1e-9)
 
 
-def load_image_directory(path):
+def load_image_directory(path, shape):
+    """Every P5/P6 image in `path`, each of which must have the (C, H, W) `shape`."""
     images = []
     for fname in sorted(os.listdir(path)):
         if fname.lower().endswith((".pgm", ".ppm")):
-            images.append(storage.load_image(os.path.join(path, fname)))
+            fpath = os.path.join(path, fname)
+            images.append(storage.load_image(fpath))
+            if images[-1].shape != shape:
+                raise storage.StorageError(f"{fpath}: image shape {images[-1].shape}, expected "
+                                           f"(image_channels, image_size, image_size) = {shape}")
     if not images:
         raise storage.StorageError(f"{path}: no P5/P6 images found")
     return images
@@ -161,12 +165,10 @@ class TrainConfig(storage.ConfigCodec):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.image_size % self.feature_h or self.image_size % self.feature_w:
             raise ValueError(f"image_size {self.image_size} not divisible by the "
                              f"{self.feature_h}x{self.feature_w} feature grid")
-        self.model_config()  # the model's own checks: family, tps_grid, grid size, oac_path
+        self.model_config()  # the model's own checks: seed, family, tps_grid, grid size, oac_path
 
     @property
     def total_steps(self):
@@ -183,7 +185,8 @@ class TrainConfig(storage.ConfigCodec):
 
 def build_corpus(config, rng):
     if config.corpus_dir:
-        return load_image_directory(config.corpus_dir)
+        return load_image_directory(
+            config.corpus_dir, (config.image_channels, config.image_size, config.image_size))
     return [
         make_procedural_image(rng, config.image_size, config.image_channels)
         for _ in range(config.corpus_size)
@@ -235,7 +238,7 @@ def batch_loss_and_grads(model, batch, loss_grid, mode="train"):
     train mode. Gradient reduction over samples happens inside one batched
     backward pass with a fixed sample order."""
     theta_vecs, _ = predict(model, batch, mode)
-    losses, grads = geometry.tgd(theta_vecs, np.stack([b[2].theta for b in batch]), loss_grid)
+    losses, grads = geometry.tgd(theta_vecs, np.stack([b[2] for b in batch]), loss_grid)
     if mode == "train":
         model.backward(grads / len(batch))
     return float(losses.mean())
@@ -249,7 +252,7 @@ def train(config: TrainConfig, log_fn=None):
     n_val = max(1, len(corpus) // 10)
     train_images = corpus[:-n_val]
     val_images = corpus[-n_val:]
-    provider = build_provider(config, channels=corpus[0].shape[0])
+    provider = build_provider(config)
     model = AttentiveAlignmentModel(config.model_config())
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loss_grid = geometry.make_regular_grid(20)
@@ -284,16 +287,15 @@ def train(config: TrainConfig, log_fn=None):
 
 
 def evaluate_tgd(thetas, batch):
-    """Mean grid distance of the transforms `thetas`, one per pair, to the
-    batch's ground truths. Identity transforms give the identity baseline."""
-    losses, _ = geometry.tgd(np.stack([theta.theta for theta in thetas]),
-                             np.stack([b[2].theta for b in batch]),
+    """Mean grid distance of the transforms `thetas` (B, Q), one row per pair,
+    to the batch's ground truths. Identity rows give the identity baseline."""
+    losses, _ = geometry.tgd(thetas, np.stack([b[2] for b in batch]),
                              geometry.make_regular_grid(20))
     return float(losses.mean())
 
 
 def evaluate_pck_synthetic(thetas, batch, alpha=0.1, image_hw=(32, 32), seed=0):
-    """PCK of the transforms `thetas`, one per pair, on synthetic keypoint
+    """PCK of the transforms `thetas` (B, Q), one row per pair, on synthetic keypoint
     sets: target keypoints are the ground-truth transform of 10 random source
     keypoints per pair."""
     rng = np.random.default_rng(seed)
@@ -306,7 +308,7 @@ def evaluate_pck_synthetic(thetas, batch, alpha=0.1, image_hw=(32, 32), seed=0):
             axis=1,
         )
         src_norm = geometry.normalize_points(src_pix, image_hw)
-        trg_pix = geometry.denormalize_points(theta_gt.transform(src_norm), image_hw)
+        trg_pix = geometry.denormalize_points(geometry.transform(theta_gt, src_norm), image_hw)
         pid = f"pair{i}"
         pairs[pid] = {"src": src_pix, "trg": trg_pix, "bbox_h": float(h_img), "bbox_w": float(w_img)}
         predicted[pid] = theta

@@ -223,7 +223,8 @@ def load_image(path):
 
 
 def load_keypoints_csv(path):
-    """Rows: pair_id, src_x, src_y, trg_x, trg_y, bbox_h, bbox_w.
+    """Rows: pair_id, src_x, src_y, trg_x, trg_y, bbox_h, bbox_w; every row of
+    a pair must give the same bbox.
 
     Returns a dict pair_id -> dict(src (n,2), trg (n,2), bbox_h, bbox_w).
     """
@@ -247,6 +248,9 @@ def load_keypoints_csv(path):
             if bh <= 0 or bw <= 0:
                 raise StorageError(f"{path}:{lineno}: bbox dims must be positive")
             rec = pairs.setdefault(pid, {"src": [], "trg": [], "bbox_h": bh, "bbox_w": bw})
+            if (bh, bw) != (rec["bbox_h"], rec["bbox_w"]):
+                raise StorageError(f"{path}:{lineno}: pair {pid}: bbox {bh} x {bw} differs "
+                                   f"from its first row's {rec['bbox_h']} x {rec['bbox_w']}")
             rec["src"].append((sx, sy))
             rec["trg"].append((tx, ty))
     for rec in pairs.values():

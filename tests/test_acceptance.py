@@ -155,12 +155,12 @@ def test_criterion_3_gradient_integrity():
         for family in ("affine", "tps"):
             gt = geometry.sample_random_transform(family, rng)
             theta = Parameter(
-                geometry.identity_vector(family) + 0.1 * rng.standard_normal(gt.theta.size),
+                geometry.identity_vector(family) + 0.1 * rng.standard_normal(gt.size),
                 f"theta_{family}",
             )
 
             def tgd_loss(compute_grads):
-                losses, grads = geometry.tgd(theta.value[None], gt.theta[None], grid)
+                losses, grads = geometry.tgd(theta.value[None], gt[None], grid)
                 if compute_grads:
                     theta.grad += grads[0]
                 return losses[0]
@@ -182,7 +182,7 @@ def test_criterion_3_gradient_integrity():
         def model_loss(compute_grads):
             theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
             losses, grads = geometry.tgd(
-                theta_vecs, np.broadcast_to(gt.theta, theta_vecs.shape), grid)
+                theta_vecs, np.broadcast_to(gt, theta_vecs.shape), grid)
             if compute_grads:
                 model.backward(grads / theta_vecs.shape[0])
             return losses.mean()
@@ -229,22 +229,23 @@ def test_criterion_5_geometry_identities():
             for _ in range(20):
                 theta = geometry.sample_random_transform(family, rng)
                 grid = geometry.make_regular_grid(int(rng.integers(2, 25)))
-                assert geometry.tgd(theta.theta[None], theta.theta[None], grid)[0][0] == 0.0
+                assert geometry.tgd(theta[None], theta[None], grid)[0][0] == 0.0
         for _ in range(50):
             tx, ty = rng.uniform(-0.5, 0.5, size=2)
-            theta = geometry.AffineParams(np.array([1.0, 0.0, tx, 0.0, 1.0, ty]))
-            ident = geometry.AffineParams.identity()
+            theta = np.array([1.0, 0.0, tx, 0.0, 1.0, ty])
+            ident = geometry.identity_vector("affine")
             grid = geometry.make_regular_grid(int(rng.integers(2, 25)))
-            loss = geometry.tgd(theta.theta[None], ident.theta[None], grid)[0][0]
+            loss = geometry.tgd(theta[None], ident[None], grid)[0][0]
             assert abs(loss - (tx**2 + ty**2)) <= 1e-12
-        zero_tps = geometry.TpsParams(np.zeros(18))
         pts = rng.uniform(-1, 1, size=(500, 2))
-        assert np.abs(zero_tps.transform(pts) - pts).max() <= 1e-10
+        assert np.abs(geometry.transform(np.zeros(18), pts) - pts).max() <= 1e-10
+        # the 3x3 anchor lattice, x varying fastest
+        ax, ay = np.meshgrid(np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 3), indexing="xy")
+        anchors = np.stack([ax.reshape(-1), ay.reshape(-1)], axis=1)
         for _ in range(20):
             theta = geometry.sample_random_transform("tps", rng)
-            anchors = theta.controls
-            disp = np.stack([theta.theta[:9], theta.theta[9:]], axis=1)
-            assert np.abs(theta.transform(anchors) - (anchors + disp)).max() <= 1e-10
+            disp = np.stack([theta[:9], theta[9:]], axis=1)
+            assert np.abs(geometry.transform(theta, anchors) - (anchors + disp)).max() <= 1e-10
 
 
 def test_criterion_6_desk_scale_learning():
@@ -258,10 +259,9 @@ def test_criterion_6_desk_scale_learning():
             assert (config.feature_dim, config.feature_h, config.feature_w) == (16, 8, 8)
             model, history, val_batch = pipeline.train(config)
             theta_vecs, _ = pipeline.predict(model, val_batch)
-            val_tgd = pipeline.evaluate_tgd([model.theta_params(v) for v in theta_vecs],
-                                            val_batch)
+            val_tgd = pipeline.evaluate_tgd(theta_vecs, val_batch)
             baseline = pipeline.evaluate_tgd(
-                [geometry.AffineParams.identity()] * len(val_batch), val_batch)
+                np.tile(geometry.identity_vector("affine"), (len(val_batch), 1)), val_batch)
             ratios[seed] = val_tgd / baseline
         elapsed = time.perf_counter() - t0
         print(f"  held-out TGD / identity baseline per seed: "
@@ -279,11 +279,10 @@ def test_criterion_7_pck_oracle():
             g_hidden=4, g_out=4, s_hidden=4, corpus_size=12, seed=0,
         )
         model, _, val_batch = pipeline.train(config)
-        assert pipeline.evaluate_pck_synthetic([gt for _, _, gt in val_batch], val_batch,
-                                               alpha=0.1) == 1.0
+        assert pipeline.evaluate_pck_synthetic(np.stack([gt for _, _, gt in val_batch]),
+                                               val_batch, alpha=0.1) == 1.0
         theta_vecs, _ = pipeline.predict(model, val_batch)
-        thetas = [model.theta_params(v) for v in theta_vecs]
-        vals = [pipeline.evaluate_pck_synthetic(thetas, val_batch, alpha=a)
+        vals = [pipeline.evaluate_pck_synthetic(theta_vecs, val_batch, alpha=a)
                 for a in (0.05, 0.1, 0.15)]
         assert vals[0] <= vals[1] <= vals[2], vals
 

@@ -12,7 +12,6 @@ from oacnet import cli, geometry, pipeline, storage
 from oacnet import correlation as corr
 from oacnet.cli import main
 from oacnet.network import AttentiveAlignmentModel
-from oacnet.tensor import NumericError
 
 SMALL_CONFIG = {
     "learning_rate": "2e-4",
@@ -422,10 +421,9 @@ class TestEvalCommand:
                                                         grid_n=tconf.tps_grid)
             batch.append((provider(src), provider(trg), theta_gt))
         theta_vecs, _ = pipeline.predict(model, batch)
-        thetas = [model.theta_params(v) for v in theta_vecs]
-        mean_tgd = pipeline.evaluate_tgd(thetas, batch)
+        mean_tgd = pipeline.evaluate_tgd(theta_vecs, batch)
         pck = pipeline.evaluate_pck_synthetic(
-            thetas, batch, alpha=0.1, image_hw=(tconf.image_size, tconf.image_size), seed=2)
+            theta_vecs, batch, alpha=0.1, image_hw=(tconf.image_size, tconf.image_size), seed=2)
         assert f"mean TGD over 5 synthetic pairs: {mean_tgd:.6f}\n" in out
         assert f"PCK(alpha=0.1): {pck:.4f}\n" in out
 
@@ -435,7 +433,7 @@ class TestEvalCommand:
         built = pipeline.build_pairs(images, provider, tconf, rng)
         for (fs, ft, gt), (rs, rt, rgt) in zip(built, batch, strict=True):
             assert fs.tobytes() == rs.tobytes() and ft.tobytes() == rt.tobytes()
-            assert gt.theta.tobytes() == rgt.theta.tobytes()
+            assert gt.tobytes() == rgt.tobytes()
 
     def test_checkpoint_mode_runs_one_forward(self, trained_dir, monkeypatch, capsys):
         calls = []
@@ -530,13 +528,16 @@ class TestEvalCommand:
         assert not (tmp_path / "o.pgm").exists()
 
     def test_non_finite_prediction_exits_2(self, trained_dir, capsys, monkeypatch):
+        predict = pipeline.predict
+
         def overflow(model, batch):
-            raise NumericError("affine params contains NaN/Inf")
+            theta_vecs, state = predict(model, batch)
+            return np.full_like(theta_vecs, np.inf), state
 
         monkeypatch.setattr(pipeline, "predict", overflow)
         assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
                      "--pairs", "2"]) == 2
-        assert_one_line_error(capsys, "affine params contains NaN/Inf")
+        assert_one_line_error(capsys, "predicted theta contains NaN/Inf")
 
     @pytest.mark.parametrize("edits", [
         {"seed = 0": "seed = 5"},
@@ -674,13 +675,13 @@ class TestWarpCommand:
         # 2*g^2 values warp as a TPS on the g x g lattice, stored in any shape
         src, img = save_ramp(tmp_path / "in.pgm")
         rng = np.random.default_rng(grid_n)
-        theta = geometry.sample_random_transform("tps", rng, grid_n=grid_n).theta
+        theta = geometry.sample_random_transform("tps", rng, grid_n=grid_n)
         storage.save_tensor(str(tmp_path / "theta.oact"), theta.reshape(2, -1))
         out = tmp_path / "out.pgm"
         assert main(["warp", "--image", src, "--theta-file", str(tmp_path / "theta.oact"),
                      "--out", str(out)]) == 0
         storage.save_image(str(tmp_path / "ref.pgm"), geometry.bilinear_warp(
-            storage.load_image(src), geometry.TpsParams(theta, grid_n)))
+            storage.load_image(src), theta))
         assert out.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
     # a numpy RuntimeWarning would print lines ahead of the error line; raised
@@ -695,11 +696,14 @@ class TestWarpCommand:
         assert_one_line_error(capsys, "NaN/Inf")
         assert not (tmp_path / "o.pgm").exists()
 
-    def test_checkpoint_mode_emits_files(self, trained_dir, tmp_path, capsys):
+    def test_checkpoint_mode_emits_files(self, tmp_path, capsys):
+        # a model trained on 1-channel 32x32 images, as the P5 ramp is
+        config = write_config(tmp_path / "train.cfg", image_channels="1")
+        assert main(["train", "--config", config, "--out-dir", str(tmp_path / "run")]) == 0
         src, _ = save_ramp(tmp_path / "in.pgm")
         out = tmp_path / "warped.pgm"
         code = main(["warp", "--image", src, "--checkpoint",
-                     str(trained_dir / "checkpoint"), "--out", str(out)])
+                     str(tmp_path / "run" / "checkpoint"), "--out", str(out)])
         assert code == 0
         assert out.is_file()
         attn_csv = tmp_path / "warped_attention.csv"
@@ -707,6 +711,16 @@ class TestWarpCommand:
         rows = [[float(v) for v in line.split(",")]
                 for line in attn_csv.read_text().splitlines()]
         assert abs(sum(sum(r) for r in rows) - 1.0) <= 1e-12
+
+    def test_checkpoint_refuses_image_of_other_channel_count(self, trained_dir, tmp_path,
+                                                             capsys):
+        # trained_dir's model saw 16-channel images; a P5 ramp has one channel
+        src, _ = save_ramp(tmp_path / "in.pgm")
+        code = main(["warp", "--image", src, "--checkpoint",
+                     str(trained_dir / "checkpoint"), "--out", str(tmp_path / "warped.pgm")])
+        assert code == 1
+        assert_one_line_error(capsys, "provider expects (16, 32, 32) images, got (1, 32, 32)")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     @pytest.mark.parametrize("blob,fragment", [
         (b"", "truncated header"),

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from oacnet import geometry
 from oacnet.geometry import (
-    AffineParams,
-    TpsParams,
     bilinear_warp,
     make_regular_grid,
     max_border_displacement,
@@ -18,10 +16,13 @@ from oacnet.geometry import (
     pck,
     sample_random_transform,
     tgd,
+    transform,
 )
-from oacnet.tensor import NumericError, Parameter
+from oacnet.tensor import NumericError, Parameter, ShapeError
 
 from gradcheck import grad_check
+
+IDENTITY = geometry.identity_vector("affine")
 
 
 # ---------------------------------------------------------------------------
@@ -31,41 +32,52 @@ from gradcheck import grad_check
 class TestTransformPoints:
     def test_affine_identity(self):
         grid = make_regular_grid(5)
-        out = AffineParams.identity().transform(grid)
+        out = transform(IDENTITY, grid)
         assert np.allclose(out, grid, atol=1e-15)
 
     def test_affine_formula(self):
-        theta = AffineParams([1.1, 0.2, 0.3, -0.1, 0.9, -0.4])
+        theta = np.array([1.1, 0.2, 0.3, -0.1, 0.9, -0.4])
         pts = np.array([[0.5, -0.25], [-1.0, 1.0]])
-        out = theta.transform(pts)
+        out = transform(theta, pts)
         for i, (x, y) in enumerate(pts):
             assert np.isclose(out[i, 0], 1.1 * x + 0.2 * y + 0.3)
             assert np.isclose(out[i, 1], -0.1 * x + 0.9 * y - 0.4)
 
     def test_tps_zero_displacements_is_identity(self):
-        theta = TpsParams(np.zeros(18))
         grid = make_regular_grid(13)
-        out = theta.transform(grid)
+        out = transform(np.zeros(18), grid)
         assert np.max(np.abs(out - grid)) < 1e-10
 
     def test_tps_interpolates_anchors(self):
         rng = np.random.default_rng(0)
         disp = rng.uniform(-0.4, 0.4, 18)
-        theta = TpsParams(disp)
-        anchors = theta.controls
-        out = theta.transform(anchors)
+        anchors = make_regular_grid(3)  # the 3x3 lattice, x fastest
+        out = transform(disp, anchors)
         expected = anchors + disp.reshape(2, -1).T
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_affine_linear_part_superposition(self):
         rng = np.random.default_rng(1)
-        theta = AffineParams(rng.uniform(-1, 1, 6))
+        theta = rng.uniform(-1, 1, 6)
         p = rng.uniform(-1, 1, (4, 2))
         q = rng.uniform(-1, 1, (4, 2))
         a, b = 0.3, 0.7
-        lhs = theta.transform(a * p + b * q)
-        rhs = a * theta.transform(p) + b * theta.transform(q) - (a + b - 1) * theta.theta[[2, 5]]
+        lhs = transform(theta, a * p + b * q)
+        rhs = a * transform(theta, p) + b * transform(theta, q) - (a + b - 1) * theta[[2, 5]]
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestThetaVector:
+    def test_flat_float64_of_any_shape(self):
+        theta = geometry.theta_vector(np.arange(8).reshape(2, 2, 2))
+        assert theta.dtype == np.float64 and np.array_equal(theta, np.arange(8.0))
+
+    def test_bad_size_and_non_finite_rejected(self):
+        with pytest.raises(ShapeError, match="got 7"):
+            geometry.theta_vector(np.zeros(7))
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(NumericError, match="^theta contains NaN/Inf$"):
+                geometry.theta_vector(np.full(6, bad))
 
 
 class TestMakeRegularGrid:
@@ -105,8 +117,7 @@ class TestTgd:
     def test_pure_translation(self, n):
         grid = make_regular_grid(n)
         tx, ty = 0.17, -0.32
-        losses, _ = tgd(np.array([[1, 0, tx, 0, 1, ty]]), AffineParams.identity().theta[None],
-                        grid)
+        losses, _ = tgd(np.array([[1, 0, tx, 0, 1, ty]]), IDENTITY[None], grid)
         assert np.isclose(losses[0], tx**2 + ty**2, atol=1e-12)
 
     def test_matches_pointwise_reference(self):
@@ -120,22 +131,20 @@ class TestTgd:
             losses, _ = tgd(thetas, truths, grid)
             assert losses.shape == (4,)
             for i in range(4):
-                a = geometry.params_from_length(thetas[i])
-                b = geometry.params_from_length(truths[i])
                 acc = 0.0
                 for x, y in grid:
-                    pa = a.transform(np.array([[x, y]]))[0]
-                    pb = b.transform(np.array([[x, y]]))[0]
+                    pa = transform(thetas[i], np.array([[x, y]]))[0]
+                    pb = transform(truths[i], np.array([[x, y]]))[0]
                     acc += (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
                 assert abs(losses[i] - acc / len(grid)) <= 1e-12
 
     def test_family_mismatch_rejected(self):
         grid = make_regular_grid(3)
         with pytest.raises(ValueError):
-            tgd(AffineParams.identity().theta[None], np.zeros((1, 18)), grid)
+            tgd(IDENTITY[None], np.zeros((1, 18)), grid)
 
     def test_empty_grid_and_non_finite_prediction_rejected(self):
-        theta = AffineParams.identity().theta[None]
+        theta = IDENTITY[None]
         with pytest.raises(ValueError):
             tgd(theta, theta, np.zeros((0, 2)))
         for bad in (np.nan, np.inf):
@@ -153,7 +162,7 @@ class TestTgd:
     def test_gradient(self, family, q):
         rng = np.random.default_rng(4)
         grid = make_regular_grid(5)
-        truths = np.stack([sample_random_transform(family, rng).theta for _ in range(3)])
+        truths = np.stack([sample_random_transform(family, rng) for _ in range(3)])
         vec = geometry.identity_vector(family) + rng.uniform(-0.1, 0.1, (3, q))
         p = Parameter(vec, "theta")
 
@@ -175,22 +184,21 @@ def _keypoint_pairs(theta, image_hw, n=10, seed=0):
     rng = np.random.default_rng(seed)
     h, w = image_hw
     src = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], axis=1)
-    trg = geometry.denormalize_points(theta.transform(normalize_points(src, image_hw)), image_hw)
+    trg = geometry.denormalize_points(transform(theta, normalize_points(src, image_hw)), image_hw)
     return {"p": {"src": src, "trg": trg, "bbox_h": float(h), "bbox_w": float(w)}}
 
 
 class TestPck:
     def test_exact_prediction_scores_one(self):
-        theta = AffineParams([1.05, 0.02, 0.1, -0.03, 0.98, -0.05])
+        theta = np.array([1.05, 0.02, 0.1, -0.03, 0.98, -0.05])
         pairs = _keypoint_pairs(theta, (32, 32))
         assert pck(pairs, {"p": theta}, 0.1, (32, 32)) == 1.0
 
     def test_large_miss_scores_zero(self):
         image_hw = (32, 32)
-        ident = AffineParams.identity()
-        pairs = _keypoint_pairs(ident, image_hw)
+        pairs = _keypoint_pairs(IDENTITY, image_hw)
         # shift every prediction by half the box size in pixels
-        shift = AffineParams([1, 0, 1.0, 0, 1, 0])  # 1.0 normalized = 15.5 px
+        shift = np.array([1, 0, 1.0, 0, 1, 0])  # 1.0 normalized = 15.5 px
         assert pck(pairs, {"p": shift}, 0.1, image_hw) == 0.0
 
     def test_threshold_counting(self):
@@ -202,11 +210,11 @@ class TestPck:
         trg[1, 0] += 0.09 * m
         trg[2, 0] += 0.2 * m
         pairs = {"p": {"src": src, "trg": trg, "bbox_h": 100.0, "bbox_w": 100.0}}
-        assert np.isclose(pck(pairs, {"p": AffineParams.identity()}, 0.1, image_hw), 2.0 / 3.0)
+        assert np.isclose(pck(pairs, {"p": IDENTITY}, 0.1, image_hw), 2.0 / 3.0)
 
     def test_pools_across_pairs(self):
         image_hw = (50, 50)
-        ident = AffineParams.identity()
+        ident = IDENTITY
         close = {"src": np.zeros((3, 2)) + 10, "trg": np.zeros((3, 2)) + 10,
                  "bbox_h": 50.0, "bbox_w": 50.0}
         far = {"src": np.zeros((1, 2)) + 10, "trg": np.zeros((1, 2)) + 40,
@@ -220,7 +228,7 @@ class TestPck:
     def test_monotone_in_alpha(self, seed):
         rng = np.random.default_rng(seed)
         theta = sample_random_transform("affine", rng)
-        pairs = _keypoint_pairs(AffineParams.identity(), (32, 32), seed=seed)
+        pairs = _keypoint_pairs(IDENTITY, (32, 32), seed=seed)
         vals = [pck(pairs, {"p": theta}, a, (32, 32)) for a in (0.05, 0.1, 0.15, 0.3)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -237,7 +245,7 @@ class TestBilinearWarp:
     def test_identity_is_bit_exact(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, (3, 8, 8))
-        out = bilinear_warp(img, AffineParams.identity())
+        out = bilinear_warp(img, IDENTITY)
         assert np.array_equal(out, img)
 
     def test_constant_image_invariant(self):
@@ -251,7 +259,7 @@ class TestBilinearWarp:
         W = 9
         ramp = np.tile(np.arange(W, dtype=np.float64), (W, 1))[None]
         # shift sampling by exactly one pixel in x: tx = 2/(W-1)
-        theta = AffineParams([1, 0, 2.0 / (W - 1), 0, 1, 0])
+        theta = np.array([1, 0, 2.0 / (W - 1), 0, 1, 0])
         out = bilinear_warp(ramp, theta)
         assert np.max(np.abs(out[0, :, : W - 1] - ramp[0, :, 1:])) < 1e-10
 
@@ -260,7 +268,7 @@ class TestMirrorPadCenterCrop:
     def test_identity_round_trip(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 1, (2, 12, 12))
-        src, trg = mirror_pad_center_crop(img, 3, AffineParams.identity())
+        src, trg = mirror_pad_center_crop(img, 3, IDENTITY)
         assert np.array_equal(src, img)
         assert np.array_equal(trg, img)
 
@@ -287,7 +295,7 @@ class TestMirrorPadCenterCrop:
 
     def test_insufficient_pad_rejected(self):
         img = np.zeros((1, 16, 16))
-        big = AffineParams([1, 0, 0.9, 0, 1, 0.0])
+        big = np.array([1, 0, 0.9, 0, 1, 0.0])
         with pytest.raises(ValueError):
             mirror_pad_center_crop(img, 1, big)
 
@@ -300,7 +308,7 @@ def _reference_pad_crop(image, pad, theta):
     xs = np.linspace(-1.0, 1.0, W)
     ys = np.linspace(-1.0, 1.0, H)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    mapped = theta.transform(np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1))
+    mapped = transform(theta, np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1))
     pix_x = (pad + (mapped[:, 0] + 1.0) * (W - 1) / 2.0).reshape(H, W)
     pix_y = (pad + (mapped[:, 1] + 1.0) * (H - 1) / 2.0).reshape(H, W)
     rx, ry = np.rint(pix_x), np.rint(pix_y)
@@ -345,9 +353,9 @@ class TestSamplerEquivalence:
         pad = 3
         slack = 2.0 * pad / (max(H, W) - 1)
         for theta in (
-            AffineParams([1 + slack, 0, 0, 0, 1 + slack, 0]),
-            AffineParams([1, 0, -slack, 0, 1, -slack]),
-            AffineParams([1, 0, slack, 0, 1, slack]),
+            np.array([1 + slack, 0, 0, 0, 1 + slack, 0]),
+            np.array([1, 0, -slack, 0, 1, -slack]),
+            np.array([1, 0, slack, 0, 1, slack]),
         ):
             self._assert_equal_to_reference(img, pad, theta)
 
@@ -357,24 +365,24 @@ class TestSamplerEquivalence:
         disp = np.zeros(50)
         disp[2 * 5 + 3] = 1.2  # x displacement of the control at (0.5, 0)
         img = np.random.default_rng(17).uniform(0, 1, (2, 16, 16))
-        self._assert_equal_to_reference(img, 3, TpsParams(disp, grid_n=5))
+        self._assert_equal_to_reference(img, 3, disp)
 
     def test_snap_tolerance_coordinates(self):
         img = np.random.default_rng(15).uniform(0, 1, (2, 16, 16))
         one_px = 2.0 / 15
         for eps in (0.0, 3e-11, -3e-11, 5e-10, -5e-10, 2e-9):
-            theta = AffineParams([1, 0, one_px + eps, 0, 1, -2 * one_px - eps])
+            theta = np.array([1, 0, one_px + eps, 0, 1, -2 * one_px - eps])
             self._assert_equal_to_reference(img, 4, theta)
 
     def test_non_finite_transform_raises_numeric_error(self):
         img = np.random.default_rng(16).uniform(0, 1, (1, 16, 16))
-        theta = AffineParams([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        theta.theta[2] = np.nan
+        theta = IDENTITY.copy()
+        theta[2] = np.nan
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError):
                 mirror_pad_center_crop(img, 4, theta)
             with pytest.raises(NumericError):
-                bilinear_warp(img, AffineParams([1e300] * 6))
+                bilinear_warp(img, np.full(6, 1e300))
 
     def test_cached_grids_are_read_only(self):
         probe = geometry._border_probe()
@@ -387,31 +395,31 @@ class TestSamplerEquivalence:
     @pytest.mark.parametrize("grid_n", [2, 3, 4])
     def test_cached_tps_basis_byte_equal_to_uncached(self, grid_n):
         rng = np.random.default_rng(grid_n)
-        theta = TpsParams(0.1 * rng.standard_normal(2 * grid_n * grid_n), grid_n)
+        theta = 0.1 * rng.standard_normal(2 * grid_n * grid_n)
         uncached = geometry._tps_basis.__wrapped__
-        assert not theta.controls.flags.writeable
+        assert not geometry._tps_system(grid_n)[0].flags.writeable
         for pts in (geometry._crop_grid(32, 32), geometry._border_probe(),
                     make_regular_grid(20)):
             fresh = uncached(grid_n, pts.shape, pts.tobytes())
             for _ in range(2):  # the computing call, then the cached one
-                cached = TpsParams.design(pts, grid_n)
+                cached = geometry._design(pts, grid_n)
                 assert cached.tobytes() == fresh.tobytes()
                 assert not cached.flags.writeable
-            moved = pts + np.stack([fresh @ theta.theta[: grid_n**2],
-                                    fresh @ theta.theta[grid_n**2 :]], axis=1)
-            assert theta.transform(pts).tobytes() == moved.tobytes()
+            moved = pts + np.stack([fresh @ theta[: grid_n**2],
+                                    fresh @ theta[grid_n**2 :]], axis=1)
+            assert transform(theta, pts).tobytes() == moved.tobytes()
         # the cache is keyed by values: a mutated array gets its new values' basis
         pts = make_regular_grid(20)
-        first = TpsParams.design(pts, grid_n)
+        first = geometry._design(pts, grid_n)
         pts[0] = 0.5
-        assert TpsParams.design(pts, grid_n).tobytes() == \
+        assert geometry._design(pts, grid_n).tobytes() == \
             uncached(grid_n, pts.shape, pts.tobytes()).tobytes()
-        assert not np.array_equal(first, TpsParams.design(pts, grid_n))
+        assert not np.array_equal(first, geometry._design(pts, grid_n))
         # and a fresh loss grid holding equal values is a hit
         truth = np.zeros((1, 2 * grid_n * grid_n))
-        tgd(theta.theta[None], truth, make_regular_grid(20))
+        tgd(theta[None], truth, make_regular_grid(20))
         before = geometry._tps_basis.cache_info()
-        tgd(theta.theta[None], truth, make_regular_grid(20))
+        tgd(theta[None], truth, make_regular_grid(20))
         after = geometry._tps_basis.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
 
@@ -424,13 +432,13 @@ class TestSampleRandomTransform:
     def test_deterministic_given_seed(self):
         a = sample_random_transform("affine", np.random.default_rng(42))
         b = sample_random_transform("affine", np.random.default_rng(42))
-        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a, b)
 
     def test_affine_audit(self):
         rng = np.random.default_rng(9)
         for _ in range(10000):
             theta = sample_random_transform("affine", rng)
-            a11, a12, tx, a21, a22, ty = theta.theta
+            a11, a12, tx, a21, a22, ty = theta
             det = a11 * a22 - a12 * a21
             assert abs(det) >= 0.1
             assert abs(tx) <= 0.25 and abs(ty) <= 0.25
@@ -439,7 +447,7 @@ class TestSampleRandomTransform:
         rng = np.random.default_rng(10)
         for _ in range(10000):
             theta = sample_random_transform("tps", rng)
-            assert np.all(np.abs(theta.theta) <= 0.4)
+            assert np.all(np.abs(theta) <= 0.4)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

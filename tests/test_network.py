@@ -71,6 +71,11 @@ class TestModelConfig:
             with pytest.raises(ValueError, match=f"tps_grid must be in \\[2, {top}\\]"):
                 ModelConfig(family=family, D=8, H=8, W=8, tps_grid=top + 1)
 
+    def test_negative_seed_rejected_naming_file(self, tmp_path):
+        with pytest.raises(storage.StorageError,
+                           match=f"^{tmp_path / 'config.txt'}: seed must be >= 0, got -1$"):
+            config_from_text(tmp_path, "D = 8\nH = 8\nW = 8\nseed = -1\n")
+
     def test_unknown_oac_path_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="oac_path"):
             ModelConfig(oac_path="bogus")
@@ -274,7 +279,7 @@ class TestForward:
         def loss_fn(compute_grads):
             theta_vecs, _ = model.forward_features(f_src, f_trg, mode="train")
             losses, grads = geometry.tgd(
-                theta_vecs, np.broadcast_to(gt.theta, theta_vecs.shape), grid)
+                theta_vecs, np.broadcast_to(gt, theta_vecs.shape), grid)
             if compute_grads:
                 model.backward(grads / theta_vecs.shape[0])
             return losses.mean()

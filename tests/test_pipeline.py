@@ -42,13 +42,8 @@ def make_batch_for(model_or_config, config, seed=0):
 
 def identity_tgd(batch):
     """Mean TGD of the identity transform on an affine batch."""
-    return pipeline.evaluate_tgd([geometry.AffineParams.identity()] * len(batch), batch)
-
-
-def predicted_transforms(model, batch):
-    """The model's eval-mode transforms for a batch, and its attention state."""
-    theta_vecs, state = pipeline.predict(model, batch)
-    return [model.theta_params(v) for v in theta_vecs], state
+    return pipeline.evaluate_tgd(np.tile(geometry.identity_vector("affine"), (len(batch), 1)),
+                                 batch)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +101,9 @@ class TestRandomProjectionProvider:
 
     def test_wrong_image_size_rejected(self):
         provider = RandomProjectionProvider(8, 8, 8, channels=1, image_size=32)
-        with pytest.raises(ShapeError):
-            provider(np.zeros((1, 16, 16)))
+        for shape in ((1, 16, 16), (3, 32, 32)):
+            with pytest.raises(ShapeError, match=r"expects \(1, 32, 32\) images"):
+                provider(np.zeros(shape))
 
 
 class TestImportFeatureMap:
@@ -163,9 +159,16 @@ class TestProceduralCorpus:
         for i in range(3):
             img = (rng.uniform(size=(1, 16, 16)) * 255).astype(np.uint8) / 255.0
             storage.save_image(str(tmp_path / f"im{i}.pgm"), img)
-        config = small_config(corpus_dir=str(tmp_path))
+        config = small_config(corpus_dir=str(tmp_path), image_size=16, image_channels=1)
         corpus = build_corpus(config, rng)
         assert len(corpus) == 3
+
+    def test_directory_image_of_another_shape_rejected(self, tmp_path):
+        storage.save_image(str(tmp_path / "a.pgm"), np.zeros((1, 16, 16)))
+        storage.save_image(str(tmp_path / "b.ppm"), np.zeros((3, 16, 16)))
+        config = small_config(corpus_dir=str(tmp_path), image_size=16, image_channels=1)
+        with pytest.raises(storage.StorageError, match=r"b\.ppm: image shape \(3, 16, 16\)"):
+            build_corpus(config, np.random.default_rng(0))
 
     def test_empty_directory_rejected(self, tmp_path):
         config = small_config(corpus_dir=str(tmp_path))
@@ -177,8 +180,7 @@ class TestGeneratePair:
     def test_identity_transform_source_equals_target(self):
         rng = np.random.default_rng(0)
         image = make_procedural_image(rng, 32, 3)
-        ident = geometry.params_from_vector("affine", geometry.identity_vector("affine"))
-        src, trg = geometry.mirror_pad_center_crop(image, 8, ident)
+        src, trg = geometry.mirror_pad_center_crop(image, 8, geometry.identity_vector("affine"))
         assert np.array_equal(src, trg)
 
     def test_fixed_seed_reproducible(self):
@@ -187,14 +189,14 @@ class TestGeneratePair:
         b = generate_pair(image, "affine", 8, np.random.default_rng(5))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
-        assert np.array_equal(a[2].theta, b[2].theta)
+        assert np.array_equal(a[2], b[2])
 
     def test_crops_share_shape(self):
         image = make_procedural_image(np.random.default_rng(2), 32, 3)
         for family in ("affine", "tps"):
             source, target, theta_gt = generate_pair(image, family, 8, np.random.default_rng(3))
             assert source.shape == target.shape
-            assert theta_gt.family == family
+            assert theta_gt.shape == geometry.identity_vector(family).shape
 
     def test_sampled_pairs_have_positive_identity_loss(self):
         # Any non-identity draw must cost the identity prediction something.
@@ -205,7 +207,7 @@ class TestGeneratePair:
         vals = []
         for _ in range(1000):
             _, _, theta_gt = generate_pair(image, "affine", 8, rng)
-            vals.append(geometry.tgd(ident, theta_gt.theta[None], grid)[0][0])
+            vals.append(geometry.tgd(ident, theta_gt[None], grid)[0][0])
         assert min(vals) > 0.0
 
 
@@ -222,7 +224,7 @@ class TestMakeBatch:
         for _, _, theta_gt in batch:
             ref.integers(len(images))
             drawn = geometry.sample_random_transform(family, ref, grid_n=config.tps_grid)
-            assert np.array_equal(drawn.theta, theta_gt.theta)
+            assert np.array_equal(drawn, theta_gt)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_provider_gemm_bit_equals_einsum(self):
@@ -425,7 +427,7 @@ class TestEvaluate:
     def identity_batch(self, config, n=4):
         rng = np.random.default_rng(2)
         provider = build_provider(config)
-        ident = geometry.params_from_vector("affine", geometry.identity_vector("affine"))
+        ident = geometry.identity_vector("affine")
         batch = []
         for _ in range(n):
             image = make_procedural_image(rng, config.image_size, config.image_channels)
@@ -437,20 +439,21 @@ class TestEvaluate:
         config = small_config()
         model = self.warmed_identity_model(config)
         batch = self.identity_batch(config)
-        thetas, _ = predicted_transforms(model, batch)
+        thetas, _ = pipeline.predict(model, batch)
         assert pipeline.evaluate_tgd(thetas, batch) == 0.0
 
     def test_injected_ground_truth_gives_perfect_pck(self):
         config = small_config()
         batch = make_batch_for(None, config, seed=3)
-        pck = pipeline.evaluate_pck_synthetic([gt for _, _, gt in batch], batch, alpha=0.1)
+        pck = pipeline.evaluate_pck_synthetic(np.stack([gt for _, _, gt in batch]), batch,
+                                              alpha=0.1)
         assert pck == 1.0
 
     def test_pck_monotone_in_alpha(self):
         config = small_config()
         model = self.warmed_identity_model(config)
         batch = make_batch_for(model, config, seed=4)
-        thetas, _ = predicted_transforms(model, batch)
+        thetas, _ = pipeline.predict(model, batch)
         vals = [
             pipeline.evaluate_pck_synthetic(thetas, batch, alpha=a)
             for a in (0.05, 0.1, 0.15)
@@ -462,13 +465,13 @@ class TestEvaluate:
         model = self.warmed_identity_model(config)
         batch = make_batch_for(model, config, seed=5)
         grid = geometry.make_regular_grid(20)
-        thetas, state = predicted_transforms(model, batch)
+        thetas, state = pipeline.predict(model, batch)
         val = pipeline.evaluate_tgd(thetas, batch)
         f_src = np.stack([b[0] for b in batch])
         f_trg = np.stack([b[1] for b in batch])
         theta_vecs, _ = model.forward_features(f_src, f_trg, mode="eval")
         manual = np.mean([
-            geometry.tgd(theta_vecs[i][None], gt.theta[None], grid)[0][0]
+            geometry.tgd(theta_vecs[i][None], gt[None], grid)[0][0]
             for i, (_, _, gt) in enumerate(batch)
         ])
         assert val == pytest.approx(manual, rel=1e-12)

@@ -262,6 +262,15 @@ class TestKeypointsCsv:
         with pytest.raises(storage.StorageError, match="bbox"):
             storage.load_keypoints_csv(str(path))
 
+    def test_bbox_differing_within_a_pair_rejected(self, tmp_path):
+        # either row order is refused, so the score cannot depend on it
+        rows = ["p0,1,2,3,4,10,20", "p0,5,6,7,8,10,40"]
+        path = tmp_path / "kp.csv"
+        for first, second in (rows, rows[::-1]):
+            path.write_text(f"pair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n{first}\n{second}\n")
+            with pytest.raises(storage.StorageError,
+                               match=f"{path}:3: pair p0: bbox .* differs from its first row"):
+                storage.load_keypoints_csv(str(path))
 
     @pytest.mark.parametrize("line,fragment", [
         ("p0,1,two,3,4,10,20", "could not convert"),
