@@ -46,18 +46,17 @@ def _parse_dims(text, example):
 
 
 def _save_run(out_dir, config, model, history):
-    """Write loss.csv, checkpoint/ and train_config.txt into a temporary
-    sibling of out_dir and rename it into place, so a failed save leaves
-    neither a partial out_dir nor the sibling."""
+    """Write checkpoint/, whose config.txt is the whole training config, and
+    loss.csv into a temporary sibling of out_dir and rename it into place, so
+    a failed save leaves neither a partial out_dir nor the sibling."""
     parent = os.path.dirname(os.path.abspath(out_dir))
     scratch = tempfile.mkdtemp(prefix=".oacnet-train-", dir=parent)
-    # model.save makes `staged` with the usual permissions (mkdtemp's are 0700)
+    # save_checkpoint makes `staged` with the usual permissions (mkdtemp's are 0700)
     staged = os.path.join(scratch, "run")
     try:
-        model.save(os.path.join(staged, "checkpoint"))
+        storage.save_checkpoint(os.path.join(staged, "checkpoint"), model.state_tensors(),
+                                config.to_lines())
         storage.save_loss_csv(os.path.join(staged, "loss.csv"), history)
-        with open(os.path.join(staged, "train_config.txt"), "w") as f:
-            f.write("\n".join(config.to_lines()) + "\n")
         os.replace(staged, out_dir)
     finally:
         shutil.rmtree(scratch)
@@ -170,18 +169,6 @@ def cmd_bench(args):
     return 0
 
 
-def _load_checkpoint(path):
-    """The model saved at `path` and the training config written beside it,
-    which must describe that model."""
-    model, config = AttentiveAlignmentModel.load(path)
-    tconf_path = os.path.normpath(os.path.join(path, "..", "train_config.txt"))
-    tconf = pipeline.TrainConfig.from_file(tconf_path)
-    if tconf.model_config() != config:
-        raise ValueError(f"{tconf_path} does not describe the model in "
-                         f"{os.path.join(path, 'config.txt')}")
-    return model, tconf
-
-
 def _dump_attention(base, alpha):
     """One pair's (H, W) attention map as base.csv and, scaled to peak 1, base.pgm."""
     with open(base + ".csv", "w") as f:
@@ -192,17 +179,19 @@ def _dump_attention(base, alpha):
 
 
 def cmd_eval(args):
+    if args.checkpoint and (args.theta_file or args.keypoints_csv):
+        other = "--theta-file" if args.theta_file else "--keypoints-csv"
+        raise ValueError(f"--checkpoint and {other} cannot be given together")
     _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
     if args.image_size < 2:
         raise ValueError(f"--image-size must be at least 2, got {args.image_size}")
-    predicted_theta = (geometry.theta_vector(storage.load_tensor(args.theta_file))
-                       if args.theta_file else None)
 
     if args.keypoints_csv:
+        theta = (geometry.theta_vector(storage.load_tensor(args.theta_file))
+                 if args.theta_file else geometry.identity_vector("affine"))
         pairs = storage.load_keypoints_csv(args.keypoints_csv)
-        theta = geometry.identity_vector("affine") if predicted_theta is None else predicted_theta
         predicted = {pid: theta for pid in pairs}
         image_hw = (args.image_size, args.image_size)
         score = geometry.pck(pairs, predicted, args.alpha, image_hw)
@@ -213,7 +202,7 @@ def cmd_eval(args):
     if not args.checkpoint:
         raise ValueError("need --checkpoint or --keypoints-csv")
     _positive("--pairs", args.pairs)
-    model, tconf = _load_checkpoint(args.checkpoint)
+    model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     rng = np.random.default_rng(args.seed)
     images = [
         pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
@@ -238,6 +227,8 @@ def cmd_eval(args):
 
 
 def cmd_warp(args):
+    if args.theta_file and args.checkpoint:
+        raise ValueError("--theta-file and --checkpoint cannot be given together")
     image = storage.load_image(args.image)
     _print_config({"image": args.image, "out": args.out})
     if args.theta_file:
@@ -247,7 +238,7 @@ def cmd_warp(args):
         print(f"warped image written to {args.out}")
         return 0
     if args.checkpoint:
-        model, tconf = _load_checkpoint(args.checkpoint)
+        model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
         rng = np.random.default_rng(args.seed)
         theta_vecs, state = pipeline.predict(
             model, pipeline.build_pairs([image], pipeline.build_provider(tconf), tconf, rng))

@@ -221,7 +221,7 @@ def _reflect_index(idx, n):
 @functools.lru_cache(maxsize=16)
 def _padded_axis(n, pad):
     """Read-only map from each index of a length-n axis reflect-padded by
-    `pad` on both sides (mirror_pad's layout) to the pixel it holds."""
+    `pad` on both sides (np.pad's mode="reflect") to the pixel it holds."""
     idx = _reflect_index(np.arange(-pad, n + pad), n)
     idx.flags.writeable = False
     return idx
@@ -229,8 +229,8 @@ def _padded_axis(n, pad):
 
 def _fold(idx, n, pad):
     """The pixel that index `idx` of the padded axis reads, as when sampling
-    mirror_pad's output: indices past the padded axis reflect back into it
-    first. Equals _reflect_index(_reflect_index(idx, n + 2*pad) - pad, n)."""
+    np.pad(mode="reflect")'s output: indices past the padded axis reflect
+    back into it first. Equals _reflect_index(_reflect_index(idx, n + 2*pad) - pad, n)."""
     return _padded_axis(n, pad)[_reflect_index(idx, n + 2 * pad)]
 
 
@@ -278,7 +278,7 @@ def _crop_grid(H, W):
 
 def _warp_crop(image, pad, theta, what):
     """The (C,H,W) crop whose pixel center g samples, at T(g), the image as
-    mirror_pad(image, pad) would extend it (pad 0: reflected at its edges)."""
+    np.pad(mode="reflect") extends it by `pad` (pad 0: reflected at its edges)."""
     C, H, W = image.shape
     mapped = transform(theta, _crop_grid(H, W)).T
     # crop-normalized -> padded-image pixel coords, rows x then y
@@ -298,11 +298,6 @@ def _check_pad(image, pad):
         raise ValueError("pad must be >= 1")
     if pad >= min(image.shape[1], image.shape[2]):
         raise ValueError("reflection pad must be smaller than the image")
-
-
-def mirror_pad(image, pad):
-    _check_pad(image, pad)
-    return np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
 
 BORDER_PROBE_POINTS = 41  # per edge of the crop
@@ -334,7 +329,7 @@ def max_border_displacement(theta):
 def mirror_pad_center_crop(image, pad, theta):
     """(Source crop, target crop) of a training pair: the source is the image
     itself; the target samples, at T(g) for every pixel center g of the crop,
-    the image as mirror_pad(image, pad) would extend it.
+    the image as np.pad(mode="reflect") extends it by `pad` on both spatial axes.
 
     The transform acts in the crop's normalized frame. The padded image is
     never built: samples read the reflected pixels directly. Raises when the

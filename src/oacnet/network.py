@@ -271,11 +271,12 @@ class AttentiveAlignmentModel:
         storage.save_checkpoint(dirpath, self.state_tensors(), config_lines=self.config.to_lines())
 
     @classmethod
-    def load(cls, dirpath):
-        """The model saved in `dirpath` and its ModelConfig."""
+    def load(cls, dirpath, config_cls=ModelConfig):
+        """The model saved in `dirpath` and the config_cls its config.txt
+        holds: a ModelConfig, or a config whose model_config() builds one."""
         tensors, _ = storage.load_checkpoint(dirpath)
-        config = ModelConfig.from_file(os.path.join(dirpath, "config.txt"))
-        model = cls(config)
+        config = config_cls.from_file(os.path.join(dirpath, "config.txt"))
+        model = cls(config if isinstance(config, ModelConfig) else config.model_config())
 
         def stored(name, shape):
             if name not in tensors:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from oacnet import cli, geometry, pipeline, storage
+from oacnet import geometry, pipeline, storage
 from oacnet import correlation as corr
 from oacnet.cli import main
 from oacnet.network import AttentiveAlignmentModel
@@ -161,8 +161,7 @@ class TestTrainCommand:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["train", "--config", config, "--out-dir", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "loss.csv",
-                                                         "train_config.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "loss.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
 
     def test_failed_save_leaves_no_output(self, tmp_path, capsys, monkeypatch):
@@ -186,20 +185,36 @@ class TestTrainCommand:
     def test_smoke_run_emits_artifacts(self, trained_dir, capsys):
         assert (trained_dir / "loss.csv").is_file()
         assert (trained_dir / "checkpoint" / "manifest.txt").is_file()
-        assert (trained_dir / "train_config.txt").is_file()
+        assert (trained_dir / "checkpoint" / "config.txt").is_file()
         lines = (trained_dir / "loss.csv").read_text().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 4  # header + 3 steps
 
     def test_checkpoint_reloads(self, trained_dir):
-        model, _ = AttentiveAlignmentModel.load(str(trained_dir / "checkpoint"))
+        model, config = AttentiveAlignmentModel.load(str(trained_dir / "checkpoint"),
+                                                     pipeline.TrainConfig)
+        assert model.config == config.model_config()
         assert model.config.D == 4
+
+    def test_checkpoint_config_is_the_training_config(self, trained_dir, tmp_path):
+        # retraining from a run's own config.txt reproduces that run byte for byte
+        ckpt = trained_dir / "checkpoint"
+        config = pipeline.TrainConfig.from_file(str(trained_dir.parent / "train.cfg"))
+        assert (ckpt / "config.txt").read_text() == "\n".join(config.to_lines()) + "\n"
+        out = tmp_path / "again"
+        assert main(["train", "--config", str(ckpt / "config.txt"), "--out-dir", str(out)]) == 0
+        assert (out / "loss.csv").read_bytes() == (trained_dir / "loss.csv").read_bytes()
+        names = sorted(p.name for p in ckpt.iterdir())
+        assert sorted(p.name for p in (out / "checkpoint").iterdir()) == names
+        for name in names:
+            assert (out / "checkpoint" / name).read_bytes() == (ckpt / name).read_bytes(), name
 
     def test_zero_lr_checkpoint_equals_initialization(self, tmp_path):
         config = write_config(tmp_path / "zero.cfg", learning_rate="0.0")
         code = main(["train", "--config", config, "--out-dir", str(tmp_path / "out")])
         assert code == 0
-        model, _ = AttentiveAlignmentModel.load(str(tmp_path / "out" / "checkpoint"))
+        model, _ = AttentiveAlignmentModel.load(str(tmp_path / "out" / "checkpoint"),
+                                                pipeline.TrainConfig)
         fresh = AttentiveAlignmentModel(
             pipeline.TrainConfig.from_file(config).model_config()
         )
@@ -409,7 +424,7 @@ class TestEvalCommand:
         ckpt = str(trained_dir / "checkpoint")
         assert main(["eval", "--checkpoint", ckpt, "--pairs", "5", "--seed", "2"]) == 0
         out = capsys.readouterr().out
-        model, tconf = cli._load_checkpoint(ckpt)
+        model, tconf = AttentiveAlignmentModel.load(ckpt, pipeline.TrainConfig)
         rng = np.random.default_rng(2)
         images = [pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
                   for _ in range(5)]
@@ -539,31 +554,6 @@ class TestEvalCommand:
                      "--pairs", "2"]) == 2
         assert_one_line_error(capsys, "predicted theta contains NaN/Inf")
 
-    @pytest.mark.parametrize("edits", [
-        {"seed = 0": "seed = 5"},
-        {"feature_dim = 4": "feature_dim = 6"},
-        {"seed = 0": "seed = 5", "feature_dim = 4": "feature_dim = 6"},
-    ], ids=["seed", "feature-dim", "both"])
-    def test_train_config_disagreeing_with_checkpoint_exits_1(self, edits, trained_dir,
-                                                              tmp_path, capsys):
-        # eval and warp take the provider and pair synthesis from train_config.txt,
-        # so it must describe the model the checkpoint holds
-        run = shutil.copytree(trained_dir, tmp_path / "run")
-        tconf = run / "train_config.txt"
-        text = tconf.read_text()
-        for old, new in edits.items():
-            assert f"{old}\n" in text
-            text = text.replace(f"{old}\n", f"{new}\n")
-        tconf.write_text(text)
-        src, _ = save_ramp(tmp_path / "in.pgm")
-        ckpt = str(run / "checkpoint")
-        for argv in (["eval", "--checkpoint", ckpt, "--pairs", "5"],
-                     ["warp", "--checkpoint", ckpt, "--image", src,
-                      "--out", str(tmp_path / "o.pgm")]):
-            assert main(argv) == 1
-            assert_one_line_error(capsys, str(tconf), str(run / "checkpoint" / "config.txt"))
-        assert not (tmp_path / "o.pgm").exists()
-
     def test_missing_bn_stat_exits_1(self, trained_dir, tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
         manifest = run / "checkpoint" / "manifest.txt"
@@ -587,9 +577,11 @@ class TestEvalCommand:
         assert_one_line_error(capsys, f"{manifest}:3:", fragment)
 
     @pytest.mark.parametrize("name,old,new,fragment", [
-        ("train_config.txt", None, "bogus = 1", "unknown key 'bogus'"),
+        ("checkpoint/config.txt", "image_size = 32", "image_size = 32.0",
+         "image_size: expected int, got '32.0'"),
         ("checkpoint/config.txt", None, "bogus = 1", "unknown key 'bogus'"),
-        ("checkpoint/config.txt", "N = 4", "N = 4x", "N: expected int, got '4x'"),
+        ("checkpoint/config.txt", "kernel_count = 4", "kernel_count = 4x",
+         "kernel_count: expected int, got '4x'"),
     ], ids=["train-config-key", "checkpoint-config-key", "checkpoint-config-int"])
     def test_config_error_names_file_and_line(self, name, old, new, fragment, trained_dir,
                                               tmp_path, capsys):
@@ -605,11 +597,28 @@ class TestEvalCommand:
         assert_one_line_error(capsys, f"error: {path}:{lines.index(new) + 1}: {fragment}")
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
+    def test_model_only_checkpoint_config_exits_1(self, command, trained_dir, tmp_path,
+                                                  capsys):
+        # a checkpoint whose config.txt holds ModelConfig keys (family, D, H, W,
+        # N, ...) describes no provider or pair synthesis, so it is refused
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        config = run / "checkpoint" / "config.txt"
+        model_config = pipeline.TrainConfig.from_file(str(config)).model_config()
+        config.write_text("\n".join(model_config.to_lines()) + "\n")
+        argv = [command, "--checkpoint", str(run / "checkpoint")]
+        if command == "warp":
+            src, _ = save_ramp(tmp_path / "in.pgm")
+            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {config}:2: unknown key 'D'\n"
+        assert not (tmp_path / "o.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):
         # provider is a constant, not a key: a file that holds it is refused
         for i, line in enumerate(["warmup = 5", "provider = random_projection"]):
             run = shutil.copytree(trained_dir, tmp_path / f"run{i}")
-            with open(run / "train_config.txt", "a") as f:
+            with open(run / "checkpoint" / "config.txt", "a") as f:
                 f.write(line + "\n")
             argv = [command, "--checkpoint", str(run / "checkpoint")]
             if command == "warp":
@@ -758,6 +767,31 @@ class TestParser:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["bench", "--sideways"]) == 1
+
+    @pytest.mark.parametrize("command,other", [
+        ("eval", "--theta-file"), ("eval", "--keypoints-csv"), ("warp", "--theta-file"),
+    ])
+    def test_checkpoint_excludes_other_prediction_source(self, command, other, trained_dir,
+                                                         tmp_path, capsys):
+        # each of these flags says where the prediction comes from: given
+        # together, one would be ignored, so the command is refused
+        theta = tmp_path / "theta.oact"
+        storage.save_tensor(str(theta), geometry.identity_vector("affine"))
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        src, _ = save_ramp(tmp_path / "in.pgm")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        argv = [command, "--checkpoint", str(trained_dir / "checkpoint"),
+                other, str(theta) if other == "--theta-file" else csv]
+        if command == "eval":
+            argv += ["--pairs", "2", "--dump-attention", str(tmp_path / "attn")]
+        else:
+            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--checkpoint" in err and other in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -10,7 +10,6 @@ from oacnet.geometry import (
     bilinear_warp,
     make_regular_grid,
     max_border_displacement,
-    mirror_pad,
     mirror_pad_center_crop,
     normalize_points,
     pck,
@@ -23,6 +22,11 @@ from oacnet.tensor import NumericError, Parameter, ShapeError
 from gradcheck import grad_check
 
 IDENTITY = geometry.identity_vector("affine")
+
+
+def mirror_pad(image, pad):
+    """The (C,H,W) image reflect-padded by `pad` on both spatial axes."""
+    return np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ replaced, in a way that by the format's own rules leaves it malformed:
     tensor, theta)   warp                                                    (a payload value
                                                                              by NaN/Inf: exit 2)
   manifest.txt       eval             before the last role     a junk line   a name/shape byte
-  config.txt,        eval, train      inside a key             a junk line   a key byte or '='
-    train config
+  training config    eval, train      inside a key             a junk line   a key byte or '='
+    (checkpoint's
+    config.txt, or
+    train --config)
   PGM/PPM            warp             any strict prefix        any bytes     a header field byte
   keypoint CSV       eval             before a row's 7th field a junk line   a comma
 
