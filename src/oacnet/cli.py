@@ -28,10 +28,10 @@ def _print_config(resolved):
         print(f"  {k} = {v}")
 
 
-def _positive(flag, value):
-    """Rejects a count flag below 1 (ValueError, so main exits 1)."""
-    if value < 1:
-        raise ValueError(f"{flag} must be positive, got {value}")
+def _at_least(flag, value, low):
+    """Rejects a flag value below low (ValueError, so main exits 1)."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _parse_dims(text, example):
@@ -99,7 +99,8 @@ def cmd_train(args):
 
 def cmd_check_equiv(args):
     H, W, N = _parse_dims(args.dims, "4x4x2")
-    _positive("--trials", args.trials)
+    _at_least("--trials", args.trials, 1)
+    _at_least("--seed", args.seed, 0)
     _print_config({"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
     bounds = {"output": 1e-10, "weight-gradient": 1e-8, "bias-gradient": 1e-12}
     worst = dict.fromkeys(bounds, 0.0)
@@ -131,7 +132,8 @@ def cmd_check_equiv(args):
 
 def cmd_bench(args):
     H, W, N = _parse_dims(args.dims, "15x15x128")
-    _positive("--repeats", args.repeats)
+    _at_least("--repeats", args.repeats, 1)
+    _at_least("--seed", args.seed, 0)
     _print_config({"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((1, H * W, H, W))
@@ -179,29 +181,11 @@ def _dump_attention(base, alpha):
 
 
 def cmd_eval(args):
-    if args.checkpoint and (args.theta_file or args.keypoints_csv):
-        other = "--theta-file" if args.theta_file else "--keypoints-csv"
-        raise ValueError(f"--checkpoint and {other} cannot be given together")
-    _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
+    _at_least("--pairs", args.pairs, 1)
+    _at_least("--seed", args.seed, 0)
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
-    if args.image_size < 2:
-        raise ValueError(f"--image-size must be at least 2, got {args.image_size}")
-
-    if args.keypoints_csv:
-        theta = (geometry.theta_vector(storage.load_tensor(args.theta_file))
-                 if args.theta_file else geometry.identity_vector("affine"))
-        pairs = storage.load_keypoints_csv(args.keypoints_csv)
-        predicted = {pid: theta for pid in pairs}
-        image_hw = (args.image_size, args.image_size)
-        score = geometry.pck(pairs, predicted, args.alpha, image_hw)
-        n_total = sum(rec["src"].shape[0] for rec in pairs.values())
-        print(f"PCK(alpha={args.alpha}): {score:.4f} over {n_total} keypoints, {len(pairs)} pairs")
-        return 0
-
-    if not args.checkpoint:
-        raise ValueError("need --checkpoint or --keypoints-csv")
-    _positive("--pairs", args.pairs)
+    _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
     model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     rng = np.random.default_rng(args.seed)
     images = [
@@ -226,33 +210,55 @@ def cmd_eval(args):
     return 0
 
 
+def cmd_pck(args):
+    if not (math.isfinite(args.alpha) and args.alpha > 0):
+        raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
+    _at_least("--image-size", args.image_size, 2)
+    _print_config({"keypoints_csv": args.keypoints_csv, "theta_file": args.theta_file,
+                   "alpha": args.alpha, "image_size": args.image_size})
+    theta = (geometry.identity_vector("affine") if args.theta_file is None
+             else geometry.theta_vector(storage.load_tensor(args.theta_file)))
+    pairs = storage.load_keypoints_csv(args.keypoints_csv)
+    predicted = {pid: theta for pid in pairs}
+    image_hw = (args.image_size, args.image_size)
+    score = geometry.pck(pairs, predicted, args.alpha, image_hw)
+    n_total = sum(rec["src"].shape[0] for rec in pairs.values())
+    print(f"PCK(alpha={args.alpha}): {score:.4f} over {n_total} keypoints, {len(pairs)} pairs")
+    return 0
+
+
 def cmd_warp(args):
-    if args.theta_file and args.checkpoint:
-        raise ValueError("--theta-file and --checkpoint cannot be given together")
+    if args.theta_file is not None and args.seed is not None:
+        raise ValueError("--seed is read only with --checkpoint, not with --theta-file")
+    seed = args.seed or 0
+    _at_least("--seed", seed, 0)
     image = storage.load_image(args.image)
     _print_config({"image": args.image, "out": args.out})
-    if args.theta_file:
-        theta = geometry.theta_vector(storage.load_tensor(args.theta_file))
-        warped = geometry.bilinear_warp(image, theta)
-        storage.save_image(args.out, warped)
-        print(f"warped image written to {args.out}")
-        return 0
-    if args.checkpoint:
+    if args.theta_file is not None:
+        theta, state = geometry.theta_vector(storage.load_tensor(args.theta_file)), None
+    else:
         model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         theta_vecs, state = pipeline.predict(
             model, pipeline.build_pairs([image], pipeline.build_provider(tconf), tconf, rng))
         # a pair's source crop is its image itself
-        warped = geometry.bilinear_warp(image, theta_vecs[0])
-        storage.save_image(args.out, warped)
-        _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
-        print(f"warped pair written to {args.out} (+ attention dumps)")
+        theta = theta_vecs[0]
+    storage.save_image(args.out, geometry.bilinear_warp(image, theta))
+    if state is None:
+        print(f"warped image written to {args.out}")
         return 0
-    raise ValueError("need --theta-file or --checkpoint")
+    _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
+    print(f"warped pair written to {args.out} (+ attention dumps)")
+    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oacnet",
         description=(
             "Semantic-alignment toolkit: offset-aware correlation kernels, attention-based "
@@ -280,41 +286,44 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("eval", help="TGD/PCK evaluation of a checkpoint or keypoint CSV")
-    p.add_argument("--checkpoint", default="")
-    p.add_argument("--keypoints-csv", default="")
-    p.add_argument("--theta-file", default="", help="OACT vector applied to all CSV pairs")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p = sub.add_parser("eval", help="mean TGD and PCK of a checkpoint on synthetic pairs")
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", type=int, default=50, help="synthetic eval pairs")
-    p.add_argument("--image-size", type=int, default=240)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--dump-attention", default="", help="directory for attention CSV/graymaps")
     p.set_defaults(fn=cmd_eval)
+
+    p = sub.add_parser("pck", help="PCK of a stored transform on a keypoint CSV")
+    p.add_argument("--keypoints-csv", required=True)
+    p.add_argument("--theta-file", help="OACT vector applied to all pairs (default identity)")
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--image-size", type=int, default=240, help="keypoint image side in pixels")
+    p.set_defaults(fn=cmd_pck)
 
     p = sub.add_parser("warp", help="warp an image by stored or predicted parameters")
     p.add_argument("--image", required=True, help="P5/P6 input")
     p.add_argument("--out", required=True, help="output image path")
-    p.add_argument("--theta-file", default="")
-    p.add_argument("--checkpoint", default="")
-    p.add_argument("--seed", type=int, default=0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--theta-file")
+    source.add_argument("--checkpoint")
+    p.add_argument("--seed", type=int, help="pair synthesis seed for --checkpoint (default 0)")
     p.set_defaults(fn=cmd_warp)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         # a non-finite value ends a command through the finite checks, with
         # one line, so numpy's floating-point warnings are not printed
         with np.errstate(all="ignore"):
             return args.fn(args)
+    except SystemExit:  # --help; a usage error raises ValueError (_Parser.error)
+        return 0
     except (storage.StorageError, ShapeError, ValueError, OSError) as e:
-        # malformed or missing input: one line, not a traceback
+        # usage error, or malformed or missing input: one line, not a traceback
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (NumericError, pipeline.DivergenceError) as e:

@@ -224,35 +224,36 @@ def load_image(path):
 
 def load_keypoints_csv(path):
     """Rows: pair_id, src_x, src_y, trg_x, trg_y, bbox_h, bbox_w; every row of
-    a pair must give the same bbox.
+    a pair must give the same bbox. The first non-blank line is a header, and
+    skipped, when its first field is exactly "pair_id".
 
     Returns a dict pair_id -> dict(src (n,2), trg (n,2), bbox_h, bbox_w).
     """
     pairs = {}
     with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("pair_id"):
-                continue
-            fields = [s.strip() for s in line.split(",")]
-            if len(fields) != 7:
-                raise StorageError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-            pid = fields[0]
-            try:
-                values = [float(v) for v in fields[1:]]
-            except ValueError as e:
-                raise StorageError(f"{path}:{lineno}: {e}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise StorageError(f"{path}:{lineno}: coordinates and bbox must be finite")
-            sx, sy, tx, ty, bh, bw = values
-            if bh <= 0 or bw <= 0:
-                raise StorageError(f"{path}:{lineno}: bbox dims must be positive")
-            rec = pairs.setdefault(pid, {"src": [], "trg": [], "bbox_h": bh, "bbox_w": bw})
-            if (bh, bw) != (rec["bbox_h"], rec["bbox_w"]):
-                raise StorageError(f"{path}:{lineno}: pair {pid}: bbox {bh} x {bw} differs "
-                                   f"from its first row's {rec['bbox_h']} x {rec['bbox_w']}")
-            rec["src"].append((sx, sy))
-            rec["trg"].append((tx, ty))
+        rows = [(lineno, [s.strip() for s in raw.split(",")])
+                for lineno, raw in enumerate(f, start=1) if raw.strip()]
+    if rows and rows[0][1][0] == "pair_id":
+        rows = rows[1:]
+    for lineno, fields in rows:
+        if len(fields) != 7:
+            raise StorageError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
+        pid = fields[0]
+        try:
+            values = [float(v) for v in fields[1:]]
+        except ValueError as e:
+            raise StorageError(f"{path}:{lineno}: {e}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise StorageError(f"{path}:{lineno}: coordinates and bbox must be finite")
+        sx, sy, tx, ty, bh, bw = values
+        if bh <= 0 or bw <= 0:
+            raise StorageError(f"{path}:{lineno}: bbox dims must be positive")
+        rec = pairs.setdefault(pid, {"src": [], "trg": [], "bbox_h": bh, "bbox_w": bw})
+        if (bh, bw) != (rec["bbox_h"], rec["bbox_w"]):
+            raise StorageError(f"{path}:{lineno}: pair {pid}: bbox {bh} x {bw} differs "
+                               f"from its first row's {rec['bbox_h']} x {rec['bbox_w']}")
+        rec["src"].append((sx, sy))
+        rec["trg"].append((tx, ty))
     for rec in pairs.values():
         rec["src"] = np.asarray(rec["src"], dtype=np.float64)
         rec["trg"] = np.asarray(rec["trg"], dtype=np.float64)

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line surface: exit codes, emitted files,
 and printed reports."""
 
+import pathlib
+import re
+import shlex
 import shutil
 import struct
 import time
@@ -10,8 +13,10 @@ import pytest
 
 from oacnet import geometry, pipeline, storage
 from oacnet import correlation as corr
-from oacnet.cli import main
+from oacnet.cli import build_parser, main
 from oacnet.network import AttentiveAlignmentModel
+
+COMMANDS = ["train", "check-equiv", "bench", "eval", "pck", "warp"]
 
 SMALL_CONFIG = {
     "learning_rate": "2e-4",
@@ -350,7 +355,7 @@ class TestBenchCommand:
 
 
 # ---------------------------------------------------------------------------
-# eval
+# eval (a checkpoint on synthetic pairs) and pck (a keypoint CSV)
 
 
 def write_keypoints(path, rows):
@@ -366,7 +371,7 @@ class TestEvalCommand:
             ("p0", 50, 50, 55, 50, 100, 100),   # distance 5: correct
             ("p0", 20, 20, 20, 35, 100, 100),   # distance 15: incorrect
         ])
-        assert main(["eval", "--keypoints-csv", csv, "--alpha", "0.1"]) == 0
+        assert main(["pck", "--keypoints-csv", csv, "--alpha", "0.1"]) == 0
         assert "PCK(alpha=0.1): 0.5000 over 2 keypoints" in capsys.readouterr().out
 
     def test_alpha_monotone(self, tmp_path, capsys):
@@ -374,7 +379,7 @@ class TestEvalCommand:
         csv = write_keypoints(tmp_path / "kp.csv", rows)
 
         def pck_at(alpha):
-            assert main(["eval", "--keypoints-csv", csv, "--alpha", str(alpha)]) == 0
+            assert main(["pck", "--keypoints-csv", csv, "--alpha", str(alpha)]) == 0
             out = capsys.readouterr().out
             return float(out.split(f"PCK(alpha={alpha}): ")[1].split()[0])
 
@@ -391,7 +396,7 @@ class TestEvalCommand:
             ("p0", 10, 10, 10 + shift, 10, 100, 100),
             ("p0", 40, 60, 40 + shift, 60, 100, 100),
         ])
-        assert main(["eval", "--keypoints-csv", csv, "--alpha", "0.1",
+        assert main(["pck", "--keypoints-csv", csv, "--alpha", "0.1",
                      "--theta-file", str(tmp_path / "theta.oact"),
                      "--image-size", "100"]) == 0
         assert "PCK(alpha=0.1): 1.0000" in capsys.readouterr().out
@@ -487,7 +492,7 @@ class TestEvalCommand:
     def test_bad_theta_size_exits_1(self, tmp_path, capsys):
         storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(7))
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
-        assert main(["eval", "--keypoints-csv", csv,
+        assert main(["pck", "--keypoints-csv", csv,
                      "--theta-file", str(tmp_path / "theta.oact")]) == 1
         assert_one_line_error(capsys, "theta must hold 6 values", "got 7")
 
@@ -502,7 +507,7 @@ class TestEvalCommand:
         theta = tmp_path / "theta.oact"
         theta.write_bytes(blob)
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
-        assert main(["eval", "--keypoints-csv", csv, "--theta-file", str(theta)]) == 1
+        assert main(["pck", "--keypoints-csv", csv, "--theta-file", str(theta)]) == 1
         assert_one_line_error(capsys, str(theta), fragment)
 
     @pytest.mark.parametrize("row,fragment", [
@@ -512,19 +517,19 @@ class TestEvalCommand:
     ])
     def test_malformed_keypoints_exit_1(self, row, fragment, tmp_path, capsys):
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 1, 1, 1, 1, 100, 100), row])
-        assert main(["eval", "--keypoints-csv", csv]) == 1
+        assert main(["pck", "--keypoints-csv", csv]) == 1
         assert_one_line_error(capsys, f"{csv}:3:", fragment)
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-0.1"])
     def test_bad_alpha_exits_1(self, alpha, tmp_path, capsys):
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
-        assert main(["eval", "--keypoints-csv", csv, "--alpha", alpha]) == 1
+        assert main(["pck", "--keypoints-csv", csv, "--alpha", alpha]) == 1
         assert_one_line_error(capsys, "--alpha must be finite and positive")
 
     @pytest.mark.parametrize("size", ["1", "0", "-5"])
     def test_bad_image_size_exits_1(self, size, tmp_path, capsys):
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
-        assert main(["eval", "--keypoints-csv", csv, "--image-size", size]) == 1
+        assert main(["pck", "--keypoints-csv", csv, "--image-size", size]) == 1
         assert_one_line_error(capsys, "--image-size must be at least 2")
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
@@ -768,30 +773,84 @@ class TestParser:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["bench", "--sideways"]) == 1
 
-    @pytest.mark.parametrize("command,other", [
-        ("eval", "--theta-file"), ("eval", "--keypoints-csv"), ("warp", "--theta-file"),
-    ])
+    @pytest.mark.parametrize("command,other", [("warp", "--theta-file")])
     def test_checkpoint_excludes_other_prediction_source(self, command, other, trained_dir,
                                                          tmp_path, capsys):
         # each of these flags says where the prediction comes from: given
         # together, one would be ignored, so the command is refused
         theta = tmp_path / "theta.oact"
         storage.save_tensor(str(theta), geometry.identity_vector("affine"))
-        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
         src, _ = save_ramp(tmp_path / "in.pgm")
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        argv = [command, "--checkpoint", str(trained_dir / "checkpoint"),
-                other, str(theta) if other == "--theta-file" else csv]
-        if command == "eval":
-            argv += ["--pairs", "2", "--dump-attention", str(tmp_path / "attn")]
-        else:
-            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
+        argv = [command, "--checkpoint", str(trained_dir / "checkpoint"), other, str(theta),
+                "--image", src, "--out", str(tmp_path / "o.pgm")]
         assert main(argv) == 1
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "--checkpoint" in err and other in err
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["bench", "--sideways"],
+        ["--pairs", "x"],
+        ["eval", "--checkpoint", "{ckpt}", "--pairs", "x"],
+        ["eval", "--pairs", "2", "--dump-attention", "{attn}"],
+        ["eval", "--checkpoint", "{ckpt}", "--theta-file", "{theta}", "--dump-attention", "{attn}"],
+        ["eval", "--checkpoint", "{ckpt}", "--keypoints-csv", "{csv}", "--dump-attention",
+         "{attn}"],
+        ["eval", "--checkpoint", "{ckpt}", "--pairs", "0", "--dump-attention", "{attn}"],
+        ["eval", "--checkpoint", "{ckpt}", "--alpha", "nan", "--dump-attention", "{attn}"],
+        ["eval", "--checkpoint", "{ckpt}", "--seed", "-1", "--dump-attention", "{attn}"],
+        ["check-equiv", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
+        ["pck", "--theta-file", "{theta}"],
+        ["pck", "--keypoints-csv", "{csv}", "--alpha", "0"],
+        ["pck", "--keypoints-csv", "{csv}", "--image-size", "1"],
+        ["warp", "--image", "{image}", "--out", "{out}"],
+        ["warp", "--image", "{image}", "--out", "{out}", "--theta-file", "{theta}",
+         "--checkpoint", "{ckpt}"],
+        ["warp", "--image", "{image}", "--out", "{out}", "--theta-file", "{theta}",
+         "--seed", "1"],
+        ["warp", "--image", "{image}", "--out", "{out}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    ], ids=["no-command", "unknown-command", "unknown-flag", "flag-without-command",
+            "eval-bad-int", "eval-no-checkpoint", "eval-theta-file", "eval-keypoints-csv",
+            "eval-zero-pairs", "eval-nan-alpha", "eval-negative-seed", "check-equiv-negative-seed",
+            "bench-negative-seed", "pck-no-keypoints-csv", "pck-zero-alpha", "pck-small-image",
+            "warp-no-source", "warp-two-sources", "warp-theta-file-seed", "warp-negative-seed"])
+    def test_usage_error_is_one_line(self, argv, trained_dir, tmp_path, capsys):
+        # refused before anything runs: exit 1, one "error: " line on stderr,
+        # nothing on stdout (not even the resolved configuration), no file written
+        paths = {"ckpt": str(trained_dir / "checkpoint"), "attn": str(tmp_path / "attn"),
+                 "theta": str(tmp_path / "theta.oact"), "image": save_ramp(tmp_path / "in.pgm")[0],
+                 "csv": write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)]),
+                 "out": str(tmp_path / "o.pgm")}
+        storage.save_tensor(paths["theta"], geometry.identity_vector("affine"))
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_0(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: oacnet {command} ")
+
+    def test_readme_commands_parse(self):
+        # every `oacnet ...` line of README's sh blocks is a command the parser
+        # accepts, so an example naming a removed flag or command fails here
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("oacnet ")]
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+        assert {shlex.split(line)[1] for line in lines} == set(COMMANDS)
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

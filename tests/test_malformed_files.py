@@ -13,7 +13,7 @@ replaced, in a way that by the format's own rules leaves it malformed:
     config.txt, or
     train --config)
   PGM/PPM            warp             any strict prefix        any bytes     a header field byte
-  keypoint CSV       eval             before a row's 7th field a junk line   a comma
+  keypoint CSV       pck              before a row's 7th field a junk line   a comma
 
 Every case must exit 1 (2 where a tensor payload decodes to NaN/Inf) with
 exactly one line on stderr starting with "error", and leave no output behind.
@@ -51,7 +51,7 @@ TRAIN_CONFIG = pipeline.TrainConfig(
 JUNK_LINE = st.text(
     st.sampled_from([c for c in string.printable if not c.isspace() and c not in "=#,."]),
     min_size=1, max_size=12,
-).filter(lambda t: not t.startswith("pair_id")).map(lambda t: t.encode() + b"\n")
+).map(lambda t: t.encode() + b"\n")
 TEXT_BYTES = [b for b in range(256) if not chr(b).isspace() and b != ord("#")]
 
 
@@ -187,7 +187,7 @@ def test_train_config(data):
 
 
 # ---------------------------------------------------------------------------
-# images and theta files, read by warp; keypoint CSVs, read by eval
+# images and theta files, read by warp; keypoint CSVs, read by pck
 
 
 def ramp(channels, size=8):
@@ -245,4 +245,4 @@ def test_keypoint_csv(data):
         csv = os.path.join(tmp, "kp.csv")
         with open(csv, "wb") as f:
             f.write(blob)
-        assert_refused(["eval", "--keypoints-csv", csv])
+        assert_refused(["pck", "--keypoints-csv", csv])

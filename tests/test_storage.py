@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacnet import storage
+from oacnet import geometry, storage
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,20 @@ class TestKeypointsCsv:
         assert np.array_equal(pairs["p0"]["trg"], [[3, 4], [7, 8]])
         assert pairs["p0"]["bbox_h"] == 10 and pairs["p0"]["bbox_w"] == 20
         assert pairs["p1"]["src"].shape == (1, 2)
+
+    def test_only_first_line_can_be_header(self, tmp_path):
+        # a pair id that merely starts with "pair_id" is data, header or not
+        path = tmp_path / "kp.csv"
+        rows = "pair_id_7,50,50,70,50,100,100\np0,50,50,55,50,100,100\n"
+        for text in ("\npair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n" + rows, rows):
+            path.write_text(text)
+            pairs = storage.load_keypoints_csv(str(path))
+            assert set(pairs) == {"pair_id_7", "p0"}
+            identity = dict.fromkeys(pairs, geometry.identity_vector("affine"))
+            assert geometry.pck(pairs, identity, 0.1, (240, 240)) == 0.5
+        path.write_text(rows + "pair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n")
+        with pytest.raises(storage.StorageError, match=f"{path}:3: could not convert"):
+            storage.load_keypoints_csv(str(path))
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "kp.csv"
