@@ -253,6 +253,11 @@ def cmd_warp(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    # add_parser builds each subcommand's parser with this class, so no flag
+    # of any command accepts an abbreviation: each has one spelling
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
 

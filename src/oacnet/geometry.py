@@ -32,13 +32,24 @@ def _tps_radial(r2):
 TPS_MAX_GRID = 32
 
 
+@functools.lru_cache(maxsize=16)
+def _crop_grid(H, W):
+    """Read-only (H*W, 2) normalized coordinates of every pixel center of an
+    H x W crop, row-major (x varying fastest): the one lattice builder, also
+    of the loss grid and the TPS control points."""
+    xs = np.linspace(-1.0, 1.0, W)
+    ys = np.linspace(-1.0, 1.0, H)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    pts.flags.writeable = False
+    return pts
+
+
 @functools.lru_cache(maxsize=None)
 def _tps_system(grid_n):
     """Read-only control points (K, 2) of the regular grid_n x grid_n lattice
     and the inverse of its TPS system matrix (K+3, K+3)."""
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    cx, cy = np.meshgrid(xs, xs, indexing="xy")
-    controls = np.stack([cx.reshape(-1), cy.reshape(-1)], axis=1)  # (K,2)
+    controls = _crop_grid(grid_n, grid_n)  # (K,2)
     K = controls.shape[0]
     d2 = np.sum((controls[:, None, :] - controls[None, :, :]) ** 2, axis=2)
     L = np.zeros((K + 3, K + 3))
@@ -50,7 +61,6 @@ def _tps_system(grid_n):
         L_inv = np.linalg.inv(L)
     except np.linalg.LinAlgError as e:  # unreachable with a regular lattice
         raise NumericError(f"singular TPS system for {grid_n}x{grid_n} lattice") from e
-    controls.flags.writeable = False
     L_inv.flags.writeable = False
     return controls, L_inv
 
@@ -132,9 +142,7 @@ def transform(theta, pts):
 def make_regular_grid(n_per_side):
     if n_per_side < 2:
         raise ValueError("grid needs at least 2 points per side")
-    xs = np.linspace(-1.0, 1.0, n_per_side)
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    return _crop_grid(n_per_side, n_per_side).copy()
 
 
 def tgd(thetas, thetas_gt, grid):
@@ -263,17 +271,6 @@ def _sample_flat(image, pix, pad):
     v10 *= fy
     v00 += v10
     return v00
-
-
-@functools.lru_cache(maxsize=16)
-def _crop_grid(H, W):
-    """Read-only (H*W, 2) normalized coordinates of every pixel center, row-major."""
-    xs = np.linspace(-1.0, 1.0, W)
-    ys = np.linspace(-1.0, 1.0, H)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    pts.flags.writeable = False
-    return pts
 
 
 def _warp_crop(image, pad, theta, what):

@@ -41,10 +41,8 @@ class ModelConfig(storage.ConfigCodec):
     H: int = 15
     W: int = 15
     N: int = 128
+    # also the width of both G layers and the head input; S's hidden layer is half
     encoder_channels: int = 128
-    g_hidden: int = 128
-    g_out: int = 128
-    s_hidden: int = 64
     oac_path: str = "direct"  # direct | reordered
     tps_grid: int = 3
     seed: int = 0
@@ -55,7 +53,7 @@ class ModelConfig(storage.ConfigCodec):
     embed_dim: int = field(default=5, init=False)
 
     def __post_init__(self):
-        for key in ("D", "N", "encoder_channels", "g_hidden", "g_out", "s_hidden"):
+        for key in ("D", "N", "encoder_channels"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
@@ -121,22 +119,21 @@ class AttentiveAlignmentModel:
         # layers draw their weights from rng in this order
         ec = cfg.encoder_channels
         self.encoder = ConvBNReLU(rng, "encoder", cfg.N, ec, k=cfg.enc_kernel)
-        # G: two 1x1 layers; consumes feature + embedding
-        self.g1 = ConvBNReLU(rng, "g1", ec + cfg.embed_dim, cfg.g_hidden)
-        self.g2 = ConvBNReLU(rng, "g2", cfg.g_hidden, cfg.g_out)
+        # G: two 1x1 layers of width ec; consumes feature + embedding
+        self.g1 = ConvBNReLU(rng, "g1", ec + cfg.embed_dim, ec)
+        self.g2 = ConvBNReLU(rng, "g2", ec, ec)
         # S: one 1x1 layer, then a scalar output with no bias
         # (softmax is shift-invariant, so an output bias is unidentifiable)
-        self.s1 = ConvBNReLU(rng, "s1", ec, cfg.s_hidden)
-        self.s2_w = Parameter(
-            he_uniform(rng, (1, cfg.s_hidden, 1, 1), cfg.s_hidden), "s2.w"
-        )
+        s_hidden = max(1, ec // 2)
+        self.s1 = ConvBNReLU(rng, "s1", ec, s_hidden)
+        self.s2_w = Parameter(he_uniform(rng, (1, s_hidden, 1, 1), s_hidden), "s2.w")
 
         # index embedding: learned table, zero-init
         self.embedding = Parameter(np.zeros((cfg.Hh * cfg.Wh, cfg.embed_dim)), "embedding")
 
         # zero-initialized so a fresh model predicts the identity transform;
         # the identity offset makes the early loss equal the identity baseline
-        self.head_w = Parameter(np.zeros((cfg.Q, cfg.g_out)), "head.w")
+        self.head_w = Parameter(np.zeros((cfg.Q, ec)), "head.w")
         self.identity_offset = geometry.identity_vector(cfg.family, cfg.tps_grid)
         self._cache = None
 
@@ -198,11 +195,11 @@ class AttentiveAlignmentModel:
         emb_b = np.broadcast_to(emb, (B, cfg.embed_dim, cfg.Hh, cfg.Wh))
         g_in = np.concatenate([F, emb_b], axis=1)
         g1a, g1_cache = self.g1.forward(g_in, mode)
-        g2a, g2_cache = self.g2.forward(g1a, mode)  # (B, g_out, Hh, Wh)
+        g2a, g2_cache = self.g2.forward(g1a, mode)  # (B, ec, Hh, Wh)
 
         # sum over locations of g2a weighted by alpha, as one batched matmul
-        g2a_t = g2a.transpose(0, 2, 3, 1).reshape(B, cfg.Hh * cfg.Wh, cfg.g_out)
-        tau = (alpha.reshape(B, 1, -1) @ g2a_t).reshape(B, cfg.g_out)
+        g2a_t = g2a.transpose(0, 2, 3, 1).reshape(B, cfg.Hh * cfg.Wh, -1)
+        tau = (alpha.reshape(B, 1, -1) @ g2a_t).reshape(B, -1)
         raw = tau @ self.head_w.value.T  # (B, Q)
         theta_vecs = raw + self.identity_offset[None, :]
 
@@ -229,7 +226,7 @@ class AttentiveAlignmentModel:
         alpha, g2a, tau = cache["alpha"], cache["g2a"], cache["tau"]
 
         self.head_w.grad += dtheta.T @ tau
-        dtau = dtheta @ self.head_w.value  # (B, g_out)
+        dtau = dtheta @ self.head_w.value  # (B, ec)
 
         dg2a = dtau[:, :, None, None] * alpha[:, 0][:, None]
         dalpha = (dtau[:, None, :] @ g2a.reshape(*dtau.shape, -1)).reshape(alpha.shape)

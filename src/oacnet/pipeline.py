@@ -137,8 +137,7 @@ def generate_pair(image, family, pad, rng, grid_n=3):
 class TrainConfig(storage.ConfigCodec):
     learning_rate: float = 2e-4
     batch_size: int = 32
-    epochs: int = 50
-    steps_per_epoch: int = 40
+    total_steps: int = 2000
     family: str = "affine"
     seed: int = 0
     feature_dim: int = 16
@@ -146,9 +145,6 @@ class TrainConfig(storage.ConfigCodec):
     feature_w: int = 8
     kernel_count: int = 48
     encoder_channels: int = 32
-    g_hidden: int = 32
-    g_out: int = 32
-    s_hidden: int = 16
     image_size: int = 32
     image_channels: int = 16
     corpus_size: int = 200
@@ -157,9 +153,8 @@ class TrainConfig(storage.ConfigCodec):
     oac_path: str = "reordered"
 
     def __post_init__(self):
-        for k in ("batch_size", "epochs", "steps_per_epoch",
-                  "feature_dim", "feature_h", "feature_w", "kernel_count",
-                  "image_size", "image_channels", "corpus_size"):
+        for k in ("batch_size", "total_steps", "feature_dim", "feature_h", "feature_w",
+                  "kernel_count", "image_size", "image_channels", "corpus_size"):
             if getattr(self, k) <= 0:
                 raise ValueError(f"{k} must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -170,15 +165,10 @@ class TrainConfig(storage.ConfigCodec):
                              f"{self.feature_h}x{self.feature_w} feature grid")
         self.model_config()  # the model's own checks: seed, family, tps_grid, grid size, oac_path
 
-    @property
-    def total_steps(self):
-        return self.epochs * self.steps_per_epoch
-
     def model_config(self):
         return ModelConfig(
             family=self.family, D=self.feature_dim, H=self.feature_h, W=self.feature_w,
             N=self.kernel_count, encoder_channels=self.encoder_channels,
-            g_hidden=self.g_hidden, g_out=self.g_out, s_hidden=self.s_hidden,
             tps_grid=self.tps_grid, seed=self.seed, oac_path=self.oac_path,
         )
 

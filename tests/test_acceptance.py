@@ -170,8 +170,7 @@ def test_criterion_3_gradient_integrity():
 
         # end-to-end loss wrt every parameter group (D=8, H=W=8); the output
         # head is perturbed off zero so gradients reach every branch
-        cfg = ModelConfig(family="affine", D=8, H=8, W=8, N=8, encoder_channels=8,
-                          g_hidden=8, g_out=8, s_hidden=4, seed=0)
+        cfg = ModelConfig(family="affine", D=8, H=8, W=8, N=8, encoder_channels=8, seed=0)
         model = AttentiveAlignmentModel(cfg)
         rng_e2e = np.random.default_rng(16)
         model.head_w.value[...] = 0.1 * rng_e2e.standard_normal(model.head_w.shape)
@@ -208,8 +207,7 @@ def test_criterion_4_paper_scale_shape_chain():
         assert r.shape == (1, 841, 15, 15)
         for family, theta_size in (("affine", 6), ("tps", 18)):
             cfg = ModelConfig(family=family, D=512, H=15, W=15, N=128,
-                              encoder_channels=128, g_hidden=128, g_out=128,
-                              s_hidden=64, seed=0)
+                              encoder_channels=128, seed=0)
             model = AttentiveAlignmentModel(cfg)
             bank_h, _ = corr.oac_forward_direct(c, model.bank)
             assert bank_h.shape == (1, 128, 15, 15)
@@ -274,9 +272,9 @@ def test_criterion_6_desk_scale_learning():
 def test_criterion_7_pck_oracle():
     with criterion(7, "keypoint-accuracy oracle"):
         config = pipeline.TrainConfig(
-            batch_size=8, epochs=1, steps_per_epoch=1, feature_dim=4,
+            batch_size=8, total_steps=1, feature_dim=4,
             feature_h=8, feature_w=8, kernel_count=4, encoder_channels=4,
-            g_hidden=4, g_out=4, s_hidden=4, corpus_size=12, seed=0,
+            corpus_size=12, seed=0,
         )
         model, _, val_batch = pipeline.train(config)
         assert pipeline.evaluate_pck_synthetic(np.stack([gt for _, _, gt in val_batch]),
@@ -292,8 +290,7 @@ def test_criterion_8_determinism(tmp_path):
         from oacnet.cli import main
 
         config_path = tmp_path / "train.cfg"
-        config = pipeline.TrainConfig(batch_size=8, epochs=1, steps_per_epoch=200,
-                                      corpus_size=60, seed=3)
+        config = pipeline.TrainConfig(batch_size=8, total_steps=200, corpus_size=60, seed=3)
         config_path.write_text("\n".join(config.to_lines()) + "\n")
         digests = []
         for run in ("a", "b"):

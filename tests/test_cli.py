@@ -21,16 +21,12 @@ COMMANDS = ["train", "check-equiv", "bench", "eval", "pck", "warp"]
 SMALL_CONFIG = {
     "learning_rate": "2e-4",
     "batch_size": "2",
-    "epochs": "1",
-    "steps_per_epoch": "3",
+    "total_steps": "3",
     "feature_dim": "4",
     "feature_h": "8",
     "feature_w": "8",
     "kernel_count": "4",
     "encoder_channels": "4",
-    "g_hidden": "4",
-    "g_out": "4",
-    "s_hidden": "4",
     "corpus_size": "12",
     "seed": "0",
 }
@@ -70,8 +66,12 @@ class TestTrainCommand:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
-        # provider is a constant, not a key: a file that holds it is refused
-        for key, value in (("warmup", "5"), ("provider", "random_projection")):
+        # provider is a constant, not a key, and epochs, steps_per_epoch and the
+        # G/S widths restate total_steps and encoder_channels: a file that holds
+        # one is refused
+        for key, value in (("warmup", "5"), ("provider", "random_projection"),
+                           ("epochs", "50"), ("steps_per_epoch", "40"), ("g_hidden", "32"),
+                           ("g_out", "32"), ("s_hidden", "16")):
             config = tmp_path / "bad.cfg"
             config.write_text(f"learning_rate = 0.1\n{key} = {value}\n")
             code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
@@ -108,15 +108,12 @@ class TestTrainCommand:
         ({"feature_h": "4", "feature_w": "4"}, "smaller than the encoder kernel"),
         ({"oac_path": "dircet"}, "oac_path must be"),
         ({"encoder_channels": "0"}, "encoder_channels must be >= 1, got 0"),
-        ({"g_hidden": "0"}, "g_hidden must be >= 1, got 0"),
-        ({"s_hidden": "0"}, "s_hidden must be >= 1, got 0"),
-        ({"g_out": "-1"}, "g_out must be >= 1, got -1"),
         ({"seed": "-1"}, "seed must be >= 0, got -1"),
         ({"--seed": "-1"}, "seed must be >= 0, got -1"),
         ({"learning_rate": "nan"}, "learning_rate must be finite and non-negative, got nan"),
         ({"learning_rate": "inf"}, "learning_rate must be finite and non-negative, got inf"),
-    ], ids=["family", "grid-below-kernel", "oac-path", "encoder-channels", "g-hidden",
-            "s-hidden", "g-out", "seed", "seed-flag", "lr-nan", "lr-inf"])
+    ], ids=["family", "grid-below-kernel", "oac-path", "encoder-channels", "seed",
+            "seed-flag", "lr-nan", "lr-inf"])
     def test_bad_model_config_exits_1_before_output(self, overrides, fragment, tmp_path,
                                                     capsys):
         flags = [arg for k, v in overrides.items() if k.startswith("--") for arg in (k, v)]
@@ -587,7 +584,10 @@ class TestEvalCommand:
         ("checkpoint/config.txt", None, "bogus = 1", "unknown key 'bogus'"),
         ("checkpoint/config.txt", "kernel_count = 4", "kernel_count = 4x",
          "kernel_count: expected int, got '4x'"),
-    ], ids=["train-config-key", "checkpoint-config-key", "checkpoint-config-int"])
+        # a run saved before total_steps replaced epochs x steps_per_epoch
+        ("checkpoint/config.txt", "total_steps = 3", "epochs = 1", "unknown key 'epochs'"),
+    ], ids=["train-config-key", "checkpoint-config-key", "checkpoint-config-int",
+            "checkpoint-config-dropped-key"])
     def test_config_error_names_file_and_line(self, name, old, new, fragment, trained_dir,
                                               tmp_path, capsys):
         run = shutil.copytree(trained_dir, tmp_path / "run")
@@ -815,18 +815,23 @@ class TestParser:
         ["warp", "--image", "{image}", "--out", "{out}", "--theta-file", "{theta}",
          "--seed", "1"],
         ["warp", "--image", "{image}", "--out", "{out}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+        # an abbreviation is not a flag's other spelling
+        ["eval", "--check", "{ckpt}"],
+        ["train", "--conf", "{config}", "--out-dir", "{run}"],
     ], ids=["no-command", "unknown-command", "unknown-flag", "flag-without-command",
             "eval-bad-int", "eval-no-checkpoint", "eval-theta-file", "eval-keypoints-csv",
             "eval-zero-pairs", "eval-nan-alpha", "eval-negative-seed", "check-equiv-negative-seed",
             "bench-negative-seed", "pck-no-keypoints-csv", "pck-zero-alpha", "pck-small-image",
-            "warp-no-source", "warp-two-sources", "warp-theta-file-seed", "warp-negative-seed"])
+            "warp-no-source", "warp-two-sources", "warp-theta-file-seed", "warp-negative-seed",
+            "eval-abbreviated-flag", "train-abbreviated-flag"])
     def test_usage_error_is_one_line(self, argv, trained_dir, tmp_path, capsys):
         # refused before anything runs: exit 1, one "error: " line on stderr,
         # nothing on stdout (not even the resolved configuration), no file written
         paths = {"ckpt": str(trained_dir / "checkpoint"), "attn": str(tmp_path / "attn"),
                  "theta": str(tmp_path / "theta.oact"), "image": save_ramp(tmp_path / "in.pgm")[0],
                  "csv": write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)]),
-                 "out": str(tmp_path / "o.pgm")}
+                 "out": str(tmp_path / "o.pgm"), "config": write_config(tmp_path / "t.cfg"),
+                 "run": str(tmp_path / "run")}
         storage.save_tensor(paths["theta"], geometry.identity_vector("affine"))
         inputs = sorted(p.name for p in tmp_path.iterdir())
         assert main([arg.format(**paths) for arg in argv]) == 1
@@ -851,6 +856,16 @@ class TestParser:
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
         assert {shlex.split(line)[1] for line in lines} == set(COMMANDS)
+
+    def test_readme_config_table_is_train_config(self, tmp_path):
+        # README's key table lists TrainConfig's keys in order, and its
+        # defaults, read as a config file, give TrainConfig()
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `?([^|`]*?)`? ?\|", readme, flags=re.M)
+        assert [key for key, _ in rows] == list(pipeline.TrainConfig._field_types())
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{key} = {default}\n" for key, default in rows))
+        assert pipeline.TrainConfig.from_file(str(path)) == pipeline.TrainConfig()
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

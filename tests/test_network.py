@@ -27,8 +27,7 @@ def config_from_text(tmp_path, text):
 
 
 def tiny_config(**overrides):
-    base = dict(family="affine", D=8, H=8, W=8, N=8, encoder_channels=8,
-                g_hidden=8, g_out=8, s_hidden=4, seed=0)
+    base = dict(family="affine", D=8, H=8, W=8, N=8, encoder_channels=8, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -54,6 +53,17 @@ class TestModelConfig:
         assert (cfg.Hh, cfg.Wh) == (9, 9)
         assert cfg.Q == 6
         assert ModelConfig(family="tps", D=8, H=8, W=8).Q == 18
+
+    @pytest.mark.parametrize("cfg,ec", [(pipeline.TrainConfig().model_config(), 32),
+                                        (ModelConfig(), 128)], ids=["desk", "paper"])
+    def test_g_and_s_widths_follow_encoder_channels(self, cfg, ec):
+        # the desk and paper models keep the shapes they had when the G and S
+        # widths were keys of their own (32/32/16 and 128/128/64)
+        shapes = {p.name: p.value.shape for p in AttentiveAlignmentModel(cfg).parameters()}
+        assert cfg.encoder_channels == ec
+        assert {k: shapes[k] for k in ("g1.w", "g2.w", "s1.w", "s2.w", "head.w")} == {
+            "g1.w": (ec, ec + 5, 1, 1), "g2.w": (ec, ec, 1, 1),
+            "s1.w": (ec // 2, ec, 1, 1), "s2.w": (1, ec // 2, 1, 1), "head.w": (6, ec)}
 
     def test_too_small_feature_map_rejected(self):
         with pytest.raises(ShapeError):
@@ -175,7 +185,7 @@ class TestAttention:
         model = warmed_model(cfg, seed=4)
         f_src, f_trg = random_features(cfg, seed=4)
         model.forward_features(f_src, f_trg, mode="eval")
-        g2a = model._cache["g2a"]  # (B, g_out, Hh, Wh)
+        g2a = model._cache["g2a"]  # (B, encoder_channels, Hh, Wh)
         tau = model._cache["tau"]
         lo = g2a.min(axis=(2, 3))
         hi = g2a.max(axis=(2, 3))
@@ -229,8 +239,7 @@ class TestPredictTheta:
 
 class TestForward:
     def test_paper_scale_shape_chain(self):
-        cfg = ModelConfig(family="affine", D=32, H=15, W=15, N=16,
-                          encoder_channels=8, g_hidden=8, g_out=8, s_hidden=4)
+        cfg = ModelConfig(family="affine", D=32, H=15, W=15, N=16, encoder_channels=8)
         model = AttentiveAlignmentModel(cfg)
         f_src, f_trg = random_features(cfg, B=1, seed=12)
         theta, state = model.forward_features(f_src[0], f_trg[0], mode="train")
@@ -305,7 +314,7 @@ class TestBackward:
         dtheta = rng.standard_normal((B, cfg.Q))
         model = AttentiveAlignmentModel(cfg)
         # off zero, so gradients reach every branch
-        model.head_w.value[...] = 0.1 * rng.standard_normal((cfg.Q, cfg.g_out))
+        model.head_w.value[...] = 0.1 * rng.standard_normal(model.head_w.shape)
 
         paths = {"direct": (correlation.oac_forward_direct, correlation.oac_backward_direct),
                  "reordered": (correlation.oac_forward_reordered,

@@ -23,10 +23,9 @@ from oacnet.tensor import ShapeError, l2_normalize_channels
 
 def small_config(**overrides):
     base = dict(
-        learning_rate=2e-4, batch_size=2, epochs=1, steps_per_epoch=3,
+        learning_rate=2e-4, batch_size=2, total_steps=3,
         feature_dim=4, feature_h=8, feature_w=8, kernel_count=4,
-        encoder_channels=4, g_hidden=4, g_out=4, s_hidden=4,
-        corpus_size=12, seed=0,
+        encoder_channels=4, corpus_size=12, seed=0,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -248,7 +247,7 @@ class TestTrainConfig:
         config = TrainConfig()
         assert config.learning_rate == 2e-4
         assert config.batch_size == 32
-        assert config.epochs == 50
+        assert config.total_steps == 2000
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -336,7 +335,7 @@ class TestTrain:
         assert loss == pytest.approx(identity_tgd(batch), abs=1e-12)
 
     def test_bit_reproducible(self):
-        config = small_config(steps_per_epoch=5)
+        config = small_config(total_steps=5)
         model_a, hist_a, val_a = train(config)
         model_b, hist_b, val_b = train(config)
         assert hist_a == hist_b
@@ -349,7 +348,7 @@ class TestTrain:
             assert np.array_equal(fa, fb) and np.array_equal(ga, gb)
 
     def test_loss_history_length_and_steps(self):
-        config = small_config(epochs=2, steps_per_epoch=3)
+        config = small_config(total_steps=6)
         _, history, _ = train(config)
         assert [s for s, _ in history] == list(range(1, 7))
 
@@ -362,7 +361,7 @@ class TestTrain:
         assert np.array_equal(before, after)
 
     def test_divergence_guard_aborts(self, monkeypatch):
-        config = small_config(epochs=1, steps_per_epoch=150)
+        config = small_config(total_steps=150)
         calls = {"n": 0}
 
         def exploding_loss(model, batch, loss_grid, mode="train"):
@@ -376,7 +375,7 @@ class TestTrain:
         assert calls["n"] == 101
 
     def test_divergence_message_names_last_healthy_step(self, monkeypatch):
-        config = small_config(epochs=1, steps_per_epoch=150)
+        config = small_config(total_steps=150)
         calls = {"n": 0}
 
         def late_explosion(model, batch, loss_grid, mode="train"):
@@ -389,7 +388,7 @@ class TestTrain:
         assert calls["n"] == 107
 
     def test_divergence_guard_resets_on_recovery(self, monkeypatch):
-        config = small_config(epochs=1, steps_per_epoch=160)
+        config = small_config(total_steps=160)
         calls = {"n": 0}
 
         def bouncing_loss(model, batch, loss_grid, mode="train"):
@@ -404,8 +403,7 @@ class TestTrain:
         # baseline within the first tenth of its steps and stays there,
         # for every seed tried.
         for seed in (0, 1, 2):
-            config = TrainConfig(batch_size=16, epochs=1, steps_per_epoch=1000,
-                                 corpus_size=100, seed=seed)
+            config = TrainConfig(batch_size=16, total_steps=1000, corpus_size=100, seed=seed)
             model, history, val_batch = train(config)
             baseline = identity_tgd(val_batch)
             tail = [loss for step, loss in history if step > config.total_steps // 10]
