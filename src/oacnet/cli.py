@@ -63,15 +63,9 @@ def _save_run(out_dir, config, model, history):
 
 
 def cmd_train(args):
-    if not os.path.isfile(args.config):
-        raise ValueError(f"config file not found: {args.config}")
-    try:
-        config = pipeline.TrainConfig.from_file(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-    except (storage.StorageError, ValueError) as e:
-        print(f"error: bad config: {e}", file=sys.stderr)
-        return 1
+    config = pipeline.TrainConfig.from_file(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     if os.path.lexists(args.out_dir) and not (os.path.isdir(args.out_dir)
                                               and not os.listdir(args.out_dir)):
         raise ValueError(f"--out-dir {args.out_dir} exists and is not an empty directory")

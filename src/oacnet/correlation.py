@@ -183,7 +183,7 @@ def oac_forward_direct(c, bank, counter=None):
     for col, windows in _column_strips(bank, H, W):
         np.matmul(C[col], windows, out=t[col])
     if counter is not None:
-        counter.add(B * bank.N * H * W * H * W)
+        counter.add(C.size * bank.N)
     pre = np.ascontiguousarray(t.reshape(H, W, B, bank.N).transpose(2, 3, 0, 1))
     return _bias_relu(pre, bank), (C, pre)
 
@@ -224,10 +224,10 @@ def oac_forward_reordered(c, bank, counter=None):
     r = reorder_by_offset(c)
     # (B*H*W, n_off) @ w_flat.T, the first operand a view of r's memory
     w_flat = bank.weights.value.reshape(bank.N, -1)
-    pre = r.transpose(0, 2, 3, 1).reshape(B * H * W, -1) @ w_flat.T
-    pre = pre.reshape(B, H, W, bank.N).transpose(0, 3, 1, 2)
+    rows = r.transpose(0, 2, 3, 1).reshape(B * H * W, -1)
+    pre = (rows @ w_flat.T).reshape(B, H, W, bank.N).transpose(0, 3, 1, 2)
     if counter is not None:
-        counter.add(B * bank.N * (2 * H - 1) * (2 * W - 1) * H * W)
+        counter.add(rows.size * bank.N)
     return _bias_relu(pre, bank), (r, pre)
 
 

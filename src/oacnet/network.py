@@ -140,7 +140,7 @@ class AttentiveAlignmentModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameter_groups(self):
-        # this order fixes the checkpoint manifest and the Adam state layout
+        # this order fixes the Adam state layout
         return [
             ("oac", self.bank.parameters()),
             ("encoder", self.encoder.parameters()),
@@ -255,13 +255,19 @@ class AttentiveAlignmentModel:
 
     # -- persistence ----------------------------------------------------------
 
-    def state_tensors(self):
-        out = [(p.name, p.value, "param") for p in self.parameters()]
+    def _bn_stats(self):
+        """(batch norm, attribute, checkpoint name) of every running statistic."""
         for bn in self.batch_norms():
             prefix = bn.gamma.name.rsplit(".", 1)[0]
-            out.append((f"{prefix}.running_mean", bn.running_mean, "stat"))
-            out.append((f"{prefix}.running_var", bn.running_var, "stat"))
-            out.append((f"{prefix}.num_updates", np.array(float(bn.num_updates)), "stat"))
+            for stat in ("running_mean", "running_var", "num_updates"):
+                yield bn, stat, f"{prefix}.{stat}"
+
+    def state_tensors(self):
+        """{name: array} of what a checkpoint holds: the parameters, then each
+        batch norm's running statistics."""
+        out = {p.name: p.value for p in self.parameters()}
+        for bn, stat, name in self._bn_stats():
+            out[name] = np.asarray(getattr(bn, stat), dtype=np.float64)
         return out
 
     def save(self, dirpath):
@@ -271,25 +277,14 @@ class AttentiveAlignmentModel:
     def load(cls, dirpath, config_cls=ModelConfig):
         """The model saved in `dirpath` and the config_cls its config.txt
         holds: a ModelConfig, or a config whose model_config() builds one."""
-        tensors, _ = storage.load_checkpoint(dirpath)
         config = config_cls.from_file(os.path.join(dirpath, "config.txt"))
         model = cls(config if isinstance(config, ModelConfig) else config.model_config())
-
-        def stored(name, shape):
-            if name not in tensors:
-                raise storage.StorageError(f"{dirpath}: missing tensor {name}")
-            arr = tensors[name]
-            if arr.shape != shape:
-                raise ShapeError(f"{dirpath}: {name} shape {arr.shape} != expected {shape}")
-            return arr
-
+        tensors = storage.load_checkpoint(
+            dirpath, {name: arr.shape for name, arr in model.state_tensors().items()})
         for p in model.parameters():
-            p.value[...] = stored(p.name, p.value.shape)
-        for bn in model.batch_norms():
-            prefix = bn.gamma.name.rsplit(".", 1)[0]
-            bn.running_mean = stored(f"{prefix}.running_mean", bn.running_mean.shape).copy()
-            bn.running_var = stored(f"{prefix}.running_var", bn.running_var.shape).copy()
-            bn.num_updates = int(stored(f"{prefix}.num_updates", ()))
+            p.value[...] = tensors[p.name]
+        for bn, stat, name in model._bn_stats():
+            setattr(bn, stat, int(tensors[name]) if stat == "num_updates" else tensors[name])
         return model, config
 
 

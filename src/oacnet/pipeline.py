@@ -160,6 +160,9 @@ class TrainConfig(storage.ConfigCodec):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
+        if self.corpus_dir and self.corpus_size != TrainConfig.corpus_size:
+            raise ValueError(f"corpus_size is read only without corpus_dir, got "
+                             f"{self.corpus_size} beside corpus_dir = {self.corpus_dir}")
         if self.image_size % self.feature_h or self.image_size % self.feature_w:
             raise ValueError(f"image_size {self.image_size} not divisible by the "
                              f"{self.feature_h}x{self.feature_w} feature grid")

@@ -23,8 +23,6 @@ class StorageError(Exception):
 def save_tensor(path, array):
     """Write a float64 array: magic, version u32, rank u32, dims u64 each, payload LE f64."""
     arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim > 0:
-        arr = np.ascontiguousarray(arr)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, arr.ndim))
@@ -59,47 +57,26 @@ def load_tensor(path):
 
 
 def save_checkpoint(dirpath, tensors, config_lines):
-    """Write (name, array, role) tensors, their manifest, and config_lines as config.txt."""
+    """Write each entry of {name: array} as <name>.oact, and config_lines as config.txt."""
     os.makedirs(dirpath, exist_ok=True)
-    manifest = []
-    for name, arr, role in tensors:
-        fname = name.replace("/", "_") + ".oact"
-        save_tensor(os.path.join(dirpath, fname), arr)
-        shape = "x".join(str(d) for d in np.asarray(arr).shape) or "scalar"
-        manifest.append(f"{name} {shape} {role}")
-    with open(os.path.join(dirpath, "manifest.txt"), "w") as f:
-        f.write("\n".join(manifest) + "\n")
+    for name, arr in tensors.items():
+        save_tensor(os.path.join(dirpath, f"{name}.oact"), arr)
     with open(os.path.join(dirpath, "config.txt"), "w") as f:
         f.write("\n".join(config_lines) + "\n")
 
 
-def load_checkpoint(dirpath):
-    """Return ({name: array}, {name: (shape, role)}), refusing NaN/Inf values;
-    the config.txt beside them is read by ConfigCodec.from_file."""
-    manifest_path = os.path.join(dirpath, "manifest.txt")
-    if not os.path.isfile(manifest_path):
-        raise StorageError(f"{dirpath}: missing manifest.txt")
-    entries = {}
+def load_checkpoint(dirpath, shapes):
+    """{name: array} of the tensors named in {name: shape}, each read from
+    <name>.oact and refused if it is missing, has another shape or holds
+    NaN/Inf. Nothing else in dirpath is read here (config.txt is read by
+    ConfigCodec.from_file)."""
     tensors = {}
-    with open(manifest_path) as f:
-        for lineno, line in enumerate(f, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise StorageError(f"{manifest_path}:{lineno}: expected 'name shape role', "
-                                   f"got {len(fields)} fields")
-            name, shape, role = fields
-            try:
-                dims = () if shape == "scalar" else tuple(int(d) for d in shape.split("x"))
-            except ValueError:
-                raise StorageError(f"{manifest_path}:{lineno}: bad shape {shape!r}") from None
-            entries[name] = (dims, role)
-            arr = load_tensor(os.path.join(dirpath, name.replace("/", "_") + ".oact"))
-            if tuple(arr.shape) != dims:
-                raise StorageError(f"{dirpath}: {name} shape {arr.shape} != manifest {dims}")
-            tensors[name] = assert_finite(arr, f"{dirpath}: {name}")
-    return tensors, entries
+    for name, shape in shapes.items():
+        arr = load_tensor(os.path.join(dirpath, f"{name}.oact"))
+        if arr.shape != shape:
+            raise ShapeError(f"{dirpath}: {name} shape {arr.shape} != expected {shape}")
+        tensors[name] = assert_finite(arr, f"{dirpath}: {name}")
+    return tensors
 
 
 def parse_config_text(text, allowed_keys, source):

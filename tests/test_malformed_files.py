@@ -7,7 +7,6 @@ replaced, in a way that by the format's own rules leaves it malformed:
   .oact (checkpoint  eval             any strict prefix        any bytes     a header byte
     tensor, theta)   warp                                                    (a payload value
                                                                              by NaN/Inf: exit 2)
-  manifest.txt       eval             before the last role     a junk line   a name/shape byte
   training config    eval, train      inside a key             a junk line   a key byte or '='
     (checkpoint's
     config.txt, or
@@ -18,9 +17,8 @@ replaced, in a way that by the format's own rules leaves it malformed:
 Every case must exit 1 (2 where a tensor payload decodes to NaN/Inf) with
 exactly one line on stderr starting with "error", and leave no output behind.
 A junk line holds no whitespace, '=', '#', ',' or '.', so it is one field
-naming no tensor, no key and no keypoint row. A replacement byte for a text
-file is never whitespace or '#', which would only re-split fields or open a
-comment.
+naming no key and no keypoint row. A replacement byte for a text file is
+never whitespace or '#', which would only re-split fields or open a comment.
 """
 
 import contextlib
@@ -140,21 +138,6 @@ def test_checkpoint_tensor(run_dir, data):
             f.write(blob)
         assert_refused(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
                         "--pairs", "2"], code=2 if non_finite else 1)
-
-
-@FUZZ
-@given(data=st.data())
-def test_checkpoint_manifest(run_dir, data):
-    blob = (run_dir / "checkpoint" / "manifest.txt").read_bytes()
-    starts = [0] + [i + 1 for i, b in enumerate(blob[:-1]) if b == ord("\n")]
-    roles = [blob.index(b" ", blob.index(b" ", s) + 1) + 1 for s in starts]
-    flips = [i for s, r in zip(starts, roles) for i in range(s, r)]
-    blob = data.draw(mutated(blob, range(roles[-1]), JUNK_LINE, flips, TEXT_BYTES))
-    with copied_run(run_dir) as run:
-        with open(os.path.join(run, "checkpoint", "manifest.txt"), "wb") as f:
-            f.write(blob)
-        assert_refused(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
-                        "--pairs", "2"])
 
 
 @FUZZ

@@ -25,8 +25,10 @@ def small_config(**overrides):
     base = dict(
         learning_rate=2e-4, batch_size=2, total_steps=3,
         feature_dim=4, feature_h=8, feature_w=8, kernel_count=4,
-        encoder_channels=4, corpus_size=12, seed=0,
+        encoder_channels=4, seed=0,
     )
+    if "corpus_dir" not in overrides:  # corpus_size is refused beside corpus_dir
+        base["corpus_size"] = 12
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -316,9 +318,9 @@ class TestTrain:
     def test_zero_learning_rate_parameters_unchanged(self):
         config = small_config(learning_rate=0.0)
         init_model = pipeline.AttentiveAlignmentModel(config.model_config())
-        init = {name: arr.copy() for name, arr, _ in init_model.state_tensors()}
+        init = {name: arr.copy() for name, arr in init_model.state_tensors().items()}
         model, _, _ = train(config)
-        final = {name: arr for name, arr, _ in model.state_tensors()}
+        final = model.state_tensors()
         for name, tensor in init.items():
             if "running" in name or "num_updates" in name:
                 continue  # batch-norm statistics update outside the optimizer
@@ -339,8 +341,8 @@ class TestTrain:
         model_a, hist_a, val_a = train(config)
         model_b, hist_b, val_b = train(config)
         assert hist_a == hist_b
-        state_a = {name: arr for name, arr, _ in model_a.state_tensors()}
-        state_b = {name: arr for name, arr, _ in model_b.state_tensors()}
+        state_a = model_a.state_tensors()
+        state_b = model_b.state_tensors()
         assert state_a.keys() == state_b.keys()
         for name in state_a:
             assert np.array_equal(state_a[name], state_b[name]), name

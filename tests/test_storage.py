@@ -22,10 +22,12 @@ class TestTensorFile:
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((3, 4, 5))
         path = str(tmp_path / "t.oact")
-        storage.save_tensor(path, arr)
-        out = storage.load_tensor(path)
-        assert out.shape == arr.shape
-        assert np.array_equal(out, arr)
+        # a transposed view is written in its own (C) order, not its memory's
+        for view in (arr, arr.transpose(2, 0, 1)):
+            storage.save_tensor(path, view)
+            out = storage.load_tensor(path)
+            assert out.shape == view.shape
+            assert np.array_equal(out, view)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=0, max_size=4), st.integers(0, 2**31))
@@ -97,29 +99,16 @@ class TestTensorFile:
 class TestCheckpoint:
     def test_round_trip_with_roles_and_config(self, tmp_path):
         rng = np.random.default_rng(1)
-        tensors = [
-            ("head/w", rng.standard_normal((6, 4)), "weight"),
-            ("enc_bn/num_updates", np.float64(7.0), "stat"),
-        ]
+        tensors = {"head.w": rng.standard_normal((6, 4)), "enc.bn.num_updates": np.float64(7.0)}
         path = str(tmp_path / "ckpt")
         storage.save_checkpoint(path, tensors, config_lines=["family = affine"])
-        loaded, entries = storage.load_checkpoint(path)
-        assert np.array_equal(loaded["head/w"], tensors[0][1])
-        assert loaded["enc_bn/num_updates"].shape == ()
-        assert entries["head/w"] == ((6, 4), "weight")
-        assert entries["enc_bn/num_updates"] == ((), "stat")
+        assert sorted(os.listdir(path)) == ["config.txt", "enc.bn.num_updates.oact",
+                                            "head.w.oact"]
+        loaded = storage.load_checkpoint(path, {"head.w": (6, 4), "enc.bn.num_updates": ()})
+        assert np.array_equal(loaded["head.w"], tensors["head.w"])
+        assert loaded["enc.bn.num_updates"].shape == ()
+        assert loaded["enc.bn.num_updates"] == 7.0
         assert (tmp_path / "ckpt" / "config.txt").read_text() == "family = affine\n"
-
-    def test_missing_manifest_rejected(self, tmp_path):
-        with pytest.raises(storage.StorageError, match="manifest"):
-            storage.load_checkpoint(str(tmp_path))
-
-    def test_manifest_shape_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt")
-        storage.save_checkpoint(path, [("a", np.ones((2, 3)), "weight")], ["family = affine"])
-        storage.save_tensor(str(tmp_path / "ckpt" / "a.oact"), np.ones((3, 2)))
-        with pytest.raises(storage.StorageError, match="shape"):
-            storage.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
