@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import shutil
@@ -45,32 +46,38 @@ def _parse_dims(text, example):
     return H, W, N
 
 
-def _save_run(out_dir, config, model, history):
-    """Write checkpoint/, whose config.txt is the whole training config, and
-    loss.csv into a temporary sibling of out_dir and rename it into place, so
-    a failed save leaves neither a partial out_dir nor the sibling."""
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    scratch = tempfile.mkdtemp(prefix=".oacnet-train-", dir=parent)
-    # save_checkpoint makes `staged` with the usual permissions (mkdtemp's are 0700)
-    staged = os.path.join(scratch, "run")
-    try:
-        storage.save_checkpoint(os.path.join(staged, "checkpoint"), model.state_tensors(),
-                                config.to_lines())
-        storage.save_loss_csv(os.path.join(staged, "loss.csv"), history)
-        os.replace(staged, out_dir)
-    finally:
-        shutil.rmtree(scratch)
+def _outputs(flag, *paths, directory=False):
+    """Refuse outputs that cannot be written: a missing parent, a directory in
+    place of a file, a directory output neither absent nor empty. Return
+    publish(write): write(*staged) fills one temporary sibling, and each output
+    is renamed into place once all succeeded, so a failure leaves none of them."""
+    parent = os.path.dirname(os.path.abspath(paths[0]))
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {paths[0]}: parent directory does not exist")
+    for path in paths:
+        if directory and os.path.lexists(path) and (not os.path.isdir(path) or os.listdir(path)):
+            raise ValueError(f"{flag} {path} exists and is not an empty directory")
+        if not directory and os.path.isdir(path):
+            raise ValueError(f"{flag}: {path} is a directory")
+
+    def publish(write):
+        # only the sibling is 0700 (mkdtemp's mode); outputs get the usual modes
+        scratch = tempfile.mkdtemp(prefix=".oacnet-", dir=parent)
+        staged = [os.path.join(scratch, str(i)) for i in range(len(paths))]
+        try:
+            write(*staged)
+            for path, target in zip(staged, paths):
+                os.replace(path, target)
+        finally:
+            shutil.rmtree(scratch)
+    return publish
 
 
 def cmd_train(args):
     config = pipeline.TrainConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if os.path.lexists(args.out_dir) and not (os.path.isdir(args.out_dir)
-                                              and not os.listdir(args.out_dir)):
-        raise ValueError(f"--out-dir {args.out_dir} exists and is not an empty directory")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out_dir))):
-        raise ValueError(f"--out-dir {args.out_dir}: parent directory does not exist")
+    publish = _outputs("--out-dir", args.out_dir, directory=True)
     _print_config(vars(config))
     print(f"seed: {config.seed}")
     try:
@@ -80,7 +87,9 @@ def cmd_train(args):
     except pipeline.DivergenceError as e:
         print(f"divergence guard tripped: {e}", file=sys.stderr)
         return 2
-    _save_run(args.out_dir, config, model, history)
+    publish(lambda run: (storage.save_checkpoint(os.path.join(run, "checkpoint"),
+                                                 model.state_tensors(), config.to_lines()),
+                         storage.save_loss_csv(os.path.join(run, "loss.csv"), history)))
     theta_vecs, _ = pipeline.predict(model, val_batch)
     val_tgd = pipeline.evaluate_tgd(theta_vecs, val_batch)
     baseline = pipeline.evaluate_tgd(
@@ -165,20 +174,13 @@ def cmd_bench(args):
     return 0
 
 
-def _dump_attention(base, alpha):
-    """One pair's (H, W) attention map as base.csv and, scaled to peak 1, base.pgm."""
-    with open(base + ".csv", "w") as f:
-        for row in alpha:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-    scaled = alpha / alpha.max() if alpha.max() > 0 else alpha
-    storage.save_image(base + ".pgm", scaled[None])
-
-
 def cmd_eval(args):
     _at_least("--pairs", args.pairs, 1)
     _at_least("--seed", args.seed, 0)
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
+    if args.dump_attention:
+        publish = _outputs("--dump-attention", args.dump_attention, directory=True)
     _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
     model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     rng = np.random.default_rng(args.seed)
@@ -196,10 +198,12 @@ def cmd_eval(args):
     print(f"mean TGD over {len(batch)} synthetic pairs: {mean_tgd:.6f}")
     print(f"PCK(alpha={args.alpha}): {pck_score:.4f}")
     if args.dump_attention:
-        os.makedirs(args.dump_attention, exist_ok=True)
-        for i in range(state.alpha.shape[0]):
-            _dump_attention(os.path.join(args.dump_attention, f"attention_{i:04d}"),
-                            state.alpha[i, 0])
+        def write(dump):
+            os.mkdir(dump)
+            for i, alpha in enumerate(state.alpha[:, 0]):
+                base = os.path.join(dump, f"attention_{i:04d}")
+                storage.save_attention(base + ".csv", base + ".pgm", alpha)
+        publish(write)
         print(f"attention dumps written to {args.dump_attention}")
     return 0
 
@@ -227,6 +231,9 @@ def cmd_warp(args):
     seed = args.seed or 0
     _at_least("--seed", seed, 0)
     image = storage.load_image(args.image)
+    dumps = [] if args.checkpoint is None else [
+        f"{os.path.splitext(args.out)[0]}_attention.{ext}" for ext in ("csv", "pgm")]
+    publish = _outputs("--out", args.out, *dumps)
     _print_config({"image": args.image, "out": args.out})
     if args.theta_file is not None:
         theta, state = geometry.theta_vector(storage.load_tensor(args.theta_file)), None
@@ -237,20 +244,28 @@ def cmd_warp(args):
             model, pipeline.build_pairs([image], pipeline.build_provider(tconf), tconf, rng))
         # a pair's source crop is its image itself
         theta = theta_vecs[0]
-    storage.save_image(args.out, geometry.bilinear_warp(image, theta))
+    warped = geometry.bilinear_warp(image, theta)
     if state is None:
+        publish(lambda out: storage.save_image(out, warped))
         print(f"warped image written to {args.out}")
         return 0
-    _dump_attention(os.path.splitext(args.out)[0] + "_attention", state.alpha[0, 0])
+    publish(lambda out, csv, pgm: (storage.save_image(out, warped),
+                                   storage.save_attention(csv, pgm, state.alpha[0, 0])))
     print(f"warped pair written to {args.out} (+ attention dumps)")
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    # add_parser builds each subcommand's parser with this class, so no flag
-    # of any command accepts an abbreviation: each has one spelling
-    def __init__(self, *args, allow_abbrev=False, **kwargs):
-        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+    def parse_known_args(self, args=None, namespace=None):
+        # add_parser builds each command's parser with this class: a flag it does
+        # not spell in full (no abbreviation: each flag has one spelling) is named
+        # ahead of argparse's missing required flags. The top-level parser, which
+        # does not know its commands' flags, checks none.
+        for arg in itertools.takewhile(lambda a: a != "--", () if self._subparsers else args):
+            flag = arg.split("=", 1)[0]
+            if flag.startswith("--") and flag not in self._option_string_actions:
+                self.error(f"unrecognized arguments: {flag}")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -258,7 +273,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     parser = _Parser(
-        prog="oacnet",
+        prog="oacnet", allow_abbrev=False,
         description=(
             "Semantic-alignment toolkit: offset-aware correlation kernels, attention-based "
             "transformation estimation, self-supervised training, and keypoint evaluation. "

@@ -175,18 +175,12 @@ def tgd(thetas, thetas_gt, grid):
 def normalize_points(pix, image_hw):
     """Pixel coords (x,y) to normalized [-1,1]; pixel centers at the extremes."""
     h, w = image_hw
-    out = np.empty_like(pix, dtype=np.float64)
-    out[:, 0] = -1.0 + 2.0 * pix[:, 0] / (w - 1)
-    out[:, 1] = -1.0 + 2.0 * pix[:, 1] / (h - 1)
-    return out
+    return -1.0 + 2.0 * pix / np.array([w - 1, h - 1])
 
 
 def denormalize_points(norm, image_hw):
     h, w = image_hw
-    out = np.empty_like(norm, dtype=np.float64)
-    out[:, 0] = (norm[:, 0] + 1.0) * (w - 1) / 2.0
-    out[:, 1] = (norm[:, 1] + 1.0) * (h - 1) / 2.0
-    return out
+    return (norm + 1.0) * np.array([w - 1, h - 1]) / 2.0
 
 
 def pck(pairs, predicted, alpha_pck, image_hw):

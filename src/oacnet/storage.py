@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import struct
 import typing
 
@@ -14,6 +15,9 @@ from .tensor import ShapeError, assert_finite
 
 MAGIC = b"OACT"
 FORMAT_VERSION = 1
+# P5/P6 magic, width, height and maxval as nested optional groups, each after whitespace
+# and '#' comments; a comment ends only at a newline or the end, so no match backtracks
+_IMAGE_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)" * 4 + rb")?" * 4)
 
 
 class StorageError(Exception):
@@ -160,22 +164,11 @@ def load_image(path):
     """Read a binary P5/P6 file into a C,H,W float image in [0,1]."""
     with open(path, "rb") as f:
         data = f.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        if pos >= len(data):
-            raise StorageError(f"{path}: truncated header: {len(tokens)} of 4 fields")
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _IMAGE_HEADER.match(data)
+    tokens = [t for t in header.groups() if t is not None]
+    if len(tokens) < 4:
+        raise StorageError(f"{path}: truncated header: {len(tokens)} of 4 fields")
+    pos = header.end() + 1  # single whitespace after maxval
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise StorageError(f"{path}: unsupported image magic {magic!r}")
@@ -235,6 +228,14 @@ def load_keypoints_csv(path):
         rec["src"] = np.asarray(rec["src"], dtype=np.float64)
         rec["trg"] = np.asarray(rec["trg"], dtype=np.float64)
     return pairs
+
+
+def save_attention(csv_path, pgm_path, alpha):
+    """One (H, W) attention map as a CSV, a row per line, and scaled to peak 1 as a PGM."""
+    with open(csv_path, "w") as f:
+        for row in alpha:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    save_image(pgm_path, (alpha / alpha.max())[None])
 
 
 def save_loss_csv(path, history):

@@ -779,6 +779,19 @@ class TestParser:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["bench", "--sideways"]) == 1
 
+    @pytest.mark.parametrize("argv,token", [
+        (["train", "--conf", "c.cfg"], "--conf"),
+        (["eval", "--check", "run/checkpoint"], "--check"),
+        (["pck", "--keypoints=kp.csv"], "--keypoints"),
+        (["warp", "--imag", "a.pgm", "--out", "b.pgm", "--theta-file", "t.oact"], "--imag"),
+    ], ids=["train", "eval", "pck", "warp"])
+    def test_unknown_flag_named_before_missing_required_one(self, argv, token, capsys):
+        # each argv also lacks a required flag, which argparse would report first
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert err == f"error: oacnet {argv[0]}: unrecognized arguments: {token}\n"
+        assert stdout == ""
+
     @pytest.mark.parametrize("command,other", [("warp", "--theta-file")])
     def test_checkpoint_excludes_other_prediction_source(self, command, other, trained_dir,
                                                          tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Malformed-file fuzzing of the command line.
+"""Malformed-file fuzzing of the command line, and outputs it cannot write.
 
 Each file kind a command reads is truncated, extended or has one byte
 replaced, in a way that by the format's own rules leaves it malformed:
@@ -19,6 +19,20 @@ exactly one line on stderr starting with "error", and leave no output behind.
 A junk line holds no whitespace, '=', '#', ',' or '.', so it is one field
 naming no key and no keypoint row. A replacement byte for a text file is
 never whitespace or '#', which would only re-split fields or open a comment.
+
+Every command that writes stages all its outputs and renames them into place
+only after every write succeeded. An output it cannot write is refused before
+anything runs:
+
+  command            output                                  in the way
+  train              --out-dir                               a non-empty directory, a file
+  eval               --dump-attention                        a non-empty directory, a file
+  warp --checkpoint  --out, <stem>_attention.csv and .pgm    a directory
+  warp --theta-file  --out                                   a directory
+
+Each case must exit 1 with one line on stderr starting with "error", print
+nothing on stdout, and leave the directory as it was: no output and no
+temporary ".oacnet-*" sibling. A write that fails midway leaves nothing either.
 """
 
 import contextlib
@@ -68,13 +82,15 @@ def copied_run(run_dir):
 
 
 def assert_refused(argv, code=1, out=None):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    """(stdout, stderr) of a refused command."""
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
         got = main(argv)
     err = err.getvalue()
     assert got == code, (got, err)
     assert err.startswith("error") and err.count("\n") == 1, err
     assert out is None or not os.path.exists(out)
+    return stdout.getvalue(), err
 
 
 @st.composite
@@ -228,3 +244,96 @@ def test_keypoint_csv(data):
         with open(csv, "wb") as f:
             f.write(blob)
         assert_refused(["pck", "--keypoints-csv", csv])
+
+
+# ---------------------------------------------------------------------------
+# outputs in the way, written by train, eval and warp
+
+COMMANDS = {
+    "train": ["train", "--config", "{cfg}", "--out-dir", "{tmp}/run"],
+    "eval": ["eval", "--checkpoint", "{ckpt}", "--pairs", "2", "--dump-attention", "{tmp}/attn"],
+    "warp-checkpoint": ["warp", "--image", "{tmp}/in.pgm", "--checkpoint", "{ckpt}",
+                        "--out", "{tmp}/w.pgm"],
+    "warp-theta-file": ["warp", "--image", "{tmp}/in.pgm", "--theta-file", "{tmp}/theta.oact",
+                        "--out", "{tmp}/w.pgm"],
+}
+
+
+def command_argv(run_dir, tmp, command):
+    """argv of `command` writing into tmp; warp's inputs are made there."""
+    if command.startswith("warp"):
+        storage.save_image(os.path.join(tmp, "in.pgm"), ramp(1, TRAIN_CONFIG.image_size))
+        storage.save_tensor(os.path.join(tmp, "theta.oact"), geometry.identity_vector("affine"))
+    paths = {"cfg": str(run_dir.parent / "train.cfg"), "ckpt": str(run_dir / "checkpoint"),
+             "tmp": tmp}
+    return [arg.format(**paths) for arg in COMMANDS[command]]
+
+
+def listing(root):
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, dirs, files in os.walk(root) for name in dirs + files)
+
+
+@pytest.mark.parametrize("command,output,obstacle", [
+    ("train", "run", "non-empty directory"),
+    ("train", "run", "file"),
+    ("eval", "attn", "non-empty directory"),
+    ("eval", "attn", "file"),
+    ("warp-checkpoint", "w.pgm", "directory"),
+    ("warp-checkpoint", "w_attention.csv", "directory"),
+    ("warp-checkpoint", "w_attention.pgm", "directory"),
+    ("warp-theta-file", "w.pgm", "directory"),
+])
+def test_output_in_the_way(run_dir, command, output, obstacle):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command_argv(run_dir, tmp, command)
+        target = os.path.join(tmp, output)
+        if obstacle == "file":
+            with open(target, "w") as f:
+                f.write("old")
+        else:
+            os.mkdir(target)
+        if obstacle == "non-empty directory":
+            with open(os.path.join(target, "keep.txt"), "w") as f:
+                f.write("old")
+        before = listing(tmp)
+        stdout, err = assert_refused(argv)
+        assert stdout == "" and target in err, err
+        assert listing(tmp) == before
+
+
+@pytest.mark.parametrize("command,writer", [("warp-checkpoint", "save_image"),
+                                            ("eval", "save_attention")])
+def test_write_failing_midway_leaves_nothing(run_dir, monkeypatch, command, writer):
+    # warp --checkpoint's second image is its attention graymap; eval's
+    # second attention dump is its second pair's
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command_argv(run_dir, tmp, command)
+        before = listing(tmp)
+        write, calls = getattr(storage, writer), []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("No space left on device")
+            write(*args)
+
+        monkeypatch.setattr(storage, writer, fail_second)
+        _, err = assert_refused(argv)
+        assert err == "error: No space left on device\n"
+        assert len(calls) == 2
+        assert listing(tmp) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_dump_attention_directory_with_trailing_slash(run_dir, monkeypatch, existing):
+    # README's form, `--dump-attention attn/`, publishes attn/ (absent or empty)
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.chdir(tmp)
+        if existing:
+            os.mkdir("attn")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--checkpoint", str(run_dir / "checkpoint"), "--pairs", "2",
+                         "--dump-attention", "attn/"]) == 0
+        assert listing(tmp) == ["attn"] + [f"attn/attention_000{i}.{ext}"
+                                           for i in range(2) for ext in ("csv", "pgm")]

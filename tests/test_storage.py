@@ -4,6 +4,7 @@ import dataclasses
 import os
 import struct
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,24 @@ class TestImages:
         (tmp_path / "x.pgm").write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(storage.StorageError, match="maxval"):
             storage.load_image(str(tmp_path / "x.pgm"))
+
+    def test_unterminated_comment_refused_at_once(self, tmp_path):
+        # a comment that could end before a '#' would make the failed header
+        # match backtrack exponentially in the run of '#'s
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5 " + b"#" * 10_000)
+        t0 = time.perf_counter()
+        with pytest.raises(storage.StorageError, match="truncated header: 1 of 4 fields"):
+            storage.load_image(str(path))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_attention_csv_and_graymap(self, tmp_path):
+        alpha = np.array([[0.1, 0.2, 0.3], [0.06, 0.04, 0.3]])
+        csv, pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
+        storage.save_attention(str(csv), str(pgm), alpha)
+        assert csv.read_text() == "0.1,0.2,0.3\n0.06,0.04,0.3\n"
+        # scaled to peak 1: the largest weight is white
+        assert pgm.read_bytes() == b"P5\n3 2\n255\n" + bytes([85, 170, 255, 51, 34, 255])
 
 
 # ---------------------------------------------------------------------------
