@@ -87,8 +87,7 @@ def cmd_train(args):
     except pipeline.DivergenceError as e:
         print(f"divergence guard tripped: {e}", file=sys.stderr)
         return 2
-    publish(lambda run: (storage.save_checkpoint(os.path.join(run, "checkpoint"),
-                                                 model.state_tensors(), config.to_lines()),
+    publish(lambda run: (model.save(os.path.join(run, "checkpoint")),
                          storage.save_loss_csv(os.path.join(run, "loss.csv"), history)))
     theta_vecs, _ = pipeline.predict(model, val_batch)
     val_tgd = pipeline.evaluate_tgd(theta_vecs, val_batch)
@@ -230,15 +229,17 @@ def cmd_warp(args):
         raise ValueError("--seed is read only with --checkpoint, not with --theta-file")
     seed = args.seed or 0
     _at_least("--seed", seed, 0)
-    image = storage.load_image(args.image)
-    dumps = [] if args.checkpoint is None else [
-        f"{os.path.splitext(args.out)[0]}_attention.{ext}" for ext in ("csv", "pgm")]
-    publish = _outputs("--out", args.out, *dumps)
-    _print_config({"image": args.image, "out": args.out})
-    if args.theta_file is not None:
+    # every input is read and checked before anything is printed
+    if args.checkpoint is None:
+        image, dumps = storage.load_image(args.image), []
         theta, state = geometry.theta_vector(storage.load_tensor(args.theta_file)), None
     else:
         model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
+        image = pipeline.load_image(args.image, tconf)  # the shape the run's provider reads
+        dumps = [f"{os.path.splitext(args.out)[0]}_attention.{ext}" for ext in ("csv", "pgm")]
+    publish = _outputs("--out", args.out, *dumps)
+    _print_config({"image": args.image, "out": args.out})
+    if args.checkpoint is not None:
         rng = np.random.default_rng(seed)
         theta_vecs, state = pipeline.predict(
             model, pipeline.build_pairs([image], pipeline.build_provider(tconf), tconf, rng))

@@ -14,7 +14,7 @@ initialized model predicts the identity map.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,10 @@ from .tensor import (
 )
 
 
+ENC_KERNEL = 7  # side of the encoder's valid conv: its output is (H - 6) x (W - 6)
+EMBED_DIM = 5  # width of the learned per-location index embedding that G consumes
+
+
 @dataclass
 class ModelConfig(storage.ConfigCodec):
     family: str = "affine"  # affine | tps
@@ -47,33 +51,32 @@ class ModelConfig(storage.ConfigCodec):
     tps_grid: int = 3
     seed: int = 0
 
-    # spatial size after the 7x7 valid conv
-    enc_kernel: int = field(default=7, init=False)
-    # width of the learned per-location index embedding that G consumes
-    embed_dim: int = field(default=5, init=False)
+    # the least value of each integer key that no other check bounds (not a field)
+    _minimum = {"D": 1, "N": 1, "encoder_channels": 1, "seed": 0}
 
     def __post_init__(self):
-        for key in ("D", "N", "encoder_channels"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for key, low in self._minimum.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 2 <= self.tps_grid <= geometry.TPS_MAX_GRID:
             raise ValueError(f"tps_grid must be in [2, {geometry.TPS_MAX_GRID}], "
                              f"got {self.tps_grid}")
         geometry.identity_vector(self.family, self.tps_grid)  # refuses an unknown family
+        if self.family != "tps" and self.tps_grid != ModelConfig.tps_grid:
+            raise ValueError(f"tps_grid is read only with family = tps, got "
+                             f"{self.tps_grid} beside family = {self.family}")
         if self.oac_path not in ("direct", "reordered"):
             raise ValueError(f"oac_path must be 'direct' or 'reordered', got {self.oac_path!r}")
-        if self.H < self.enc_kernel or self.W < self.enc_kernel:
+        if self.H < ENC_KERNEL or self.W < ENC_KERNEL:
             raise ShapeError(f"feature map {self.H}x{self.W} smaller than the encoder kernel")
 
     @property
     def Hh(self):
-        return self.H - self.enc_kernel + 1
+        return self.H - ENC_KERNEL + 1
 
     @property
     def Wh(self):
-        return self.W - self.enc_kernel + 1
+        return self.W - ENC_KERNEL + 1
 
     @property
     def Q(self):
@@ -118,9 +121,9 @@ class AttentiveAlignmentModel:
 
         # layers draw their weights from rng in this order
         ec = cfg.encoder_channels
-        self.encoder = ConvBNReLU(rng, "encoder", cfg.N, ec, k=cfg.enc_kernel)
+        self.encoder = ConvBNReLU(rng, "encoder", cfg.N, ec, k=ENC_KERNEL)
         # G: two 1x1 layers of width ec; consumes feature + embedding
-        self.g1 = ConvBNReLU(rng, "g1", ec + cfg.embed_dim, ec)
+        self.g1 = ConvBNReLU(rng, "g1", ec + EMBED_DIM, ec)
         self.g2 = ConvBNReLU(rng, "g2", ec, ec)
         # S: one 1x1 layer, then a scalar output with no bias
         # (softmax is shift-invariant, so an output bias is unidentifiable)
@@ -129,7 +132,7 @@ class AttentiveAlignmentModel:
         self.s2_w = Parameter(he_uniform(rng, (1, s_hidden, 1, 1), s_hidden), "s2.w")
 
         # index embedding: learned table, zero-init
-        self.embedding = Parameter(np.zeros((cfg.Hh * cfg.Wh, cfg.embed_dim)), "embedding")
+        self.embedding = Parameter(np.zeros((cfg.Hh * cfg.Wh, EMBED_DIM)), "embedding")
 
         # zero-initialized so a fresh model predicts the identity transform;
         # the identity offset makes the early loss equal the identity baseline
@@ -191,8 +194,8 @@ class AttentiveAlignmentModel:
         alpha, sm_cache = spatial_softmax_forward(scores)  # (B,1,Hh,Wh)
 
         # G branch: concat embedding rows per location
-        emb = self.embedding.value.T.reshape(1, cfg.embed_dim, cfg.Hh, cfg.Wh)
-        emb_b = np.broadcast_to(emb, (B, cfg.embed_dim, cfg.Hh, cfg.Wh))
+        emb = self.embedding.value.T.reshape(1, EMBED_DIM, cfg.Hh, cfg.Wh)
+        emb_b = np.broadcast_to(emb, (B, EMBED_DIM, cfg.Hh, cfg.Wh))
         g_in = np.concatenate([F, emb_b], axis=1)
         g1a, g1_cache = self.g1.forward(g_in, mode)
         g2a, g2_cache = self.g2.forward(g1a, mode)  # (B, ec, Hh, Wh)
@@ -235,7 +238,7 @@ class AttentiveAlignmentModel:
         dg_in = self.g1.backward(cache.pop("g1"), self.g2.backward(cache.pop("g2"), dg2a))
         ec = self.config.encoder_channels
         dF = dg_in[:, :ec]
-        self.embedding.grad += dg_in[:, ec:].sum(axis=0).reshape(self.config.embed_dim, -1).T
+        self.embedding.grad += dg_in[:, ec:].sum(axis=0).reshape(EMBED_DIM, -1).T
 
         # S branch
         dscores = spatial_softmax_backward(cache.pop("sm"), dalpha)
@@ -275,10 +278,10 @@ class AttentiveAlignmentModel:
 
     @classmethod
     def load(cls, dirpath, config_cls=ModelConfig):
-        """The model saved in `dirpath` and the config_cls its config.txt
-        holds: a ModelConfig, or a config whose model_config() builds one."""
+        """The model saved in `dirpath` and its config, the config_cls
+        (ModelConfig or a subclass) that its config.txt holds."""
         config = config_cls.from_file(os.path.join(dirpath, "config.txt"))
-        model = cls(config if isinstance(config, ModelConfig) else config.model_config())
+        model = cls(config)
         tensors = storage.load_checkpoint(
             dirpath, {name: arr.shape for name, arr in model.state_tensors().items()})
         for p in model.parameters():

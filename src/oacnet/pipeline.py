@@ -91,19 +91,15 @@ def make_procedural_image(rng, size=32, channels=16):
     return np.clip(img, 0.0, max(img.max(), 1e-9)) / max(img.max(), 1e-9)
 
 
-def load_image_directory(path, shape):
-    """Every P5/P6 image in `path`, each of which must have the (C, H, W) `shape`."""
-    images = []
-    for fname in sorted(os.listdir(path)):
-        if fname.lower().endswith((".pgm", ".ppm")):
-            fpath = os.path.join(path, fname)
-            images.append(storage.load_image(fpath))
-            if images[-1].shape != shape:
-                raise storage.StorageError(f"{fpath}: image shape {images[-1].shape}, expected "
-                                           f"(image_channels, image_size, image_size) = {shape}")
-    if not images:
-        raise storage.StorageError(f"{path}: no P5/P6 images found")
-    return images
+def load_image(path, config):
+    """The P5/P6 image in `path`, refused unless it has the shape config's
+    provider reads."""
+    image = storage.load_image(path)
+    shape = (config.image_channels, config.image_size, config.image_size)
+    if image.shape != shape:
+        raise storage.StorageError(f"{path}: image shape {image.shape}, expected "
+                                   f"(image_channels, image_size, image_size) = {shape}")
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -134,52 +130,51 @@ def generate_pair(image, family, pad, rng, grid_n=3):
 
 
 @dataclass
-class TrainConfig(storage.ConfigCodec):
+class TrainConfig(ModelConfig):
+    """A run's whole config: the desk model's keys, then the training and data keys."""
+
+    D: int = 16
+    H: int = 8
+    W: int = 8
+    N: int = 48
+    encoder_channels: int = 32
+    oac_path: str = "reordered"
     learning_rate: float = 2e-4
     batch_size: int = 32
     total_steps: int = 2000
-    family: str = "affine"
-    seed: int = 0
-    feature_dim: int = 16
-    feature_h: int = 8
-    feature_w: int = 8
-    kernel_count: int = 48
-    encoder_channels: int = 32
     image_size: int = 32
     image_channels: int = 16
     corpus_size: int = 200
     corpus_dir: str = ""
-    tps_grid: int = 3
-    oac_path: str = "reordered"
+
+    _minimum = dict(ModelConfig._minimum, batch_size=1, total_steps=1, image_size=1,
+                    image_channels=1, corpus_size=1)
 
     def __post_init__(self):
-        for k in ("batch_size", "total_steps", "feature_dim", "feature_h", "feature_w",
-                  "kernel_count", "image_size", "image_channels", "corpus_size"):
-            if getattr(self, k) <= 0:
-                raise ValueError(f"{k} must be positive")
+        super().__post_init__()  # first: H and W below the encoder kernel, 0 included
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
         if self.corpus_dir and self.corpus_size != TrainConfig.corpus_size:
             raise ValueError(f"corpus_size is read only without corpus_dir, got "
                              f"{self.corpus_size} beside corpus_dir = {self.corpus_dir}")
-        if self.image_size % self.feature_h or self.image_size % self.feature_w:
+        if self.image_size % self.H or self.image_size % self.W:
             raise ValueError(f"image_size {self.image_size} not divisible by the "
-                             f"{self.feature_h}x{self.feature_w} feature grid")
-        self.model_config()  # the model's own checks: seed, family, tps_grid, grid size, oac_path
+                             f"{self.H}x{self.W} feature grid")
 
     def model_config(self):
-        return ModelConfig(
-            family=self.family, D=self.feature_dim, H=self.feature_h, W=self.feature_w,
-            N=self.kernel_count, encoder_channels=self.encoder_channels,
-            tps_grid=self.tps_grid, seed=self.seed, oac_path=self.oac_path,
-        )
+        # a TrainConfig is its model's config; perfbench's desk workload calls this
+        return self
 
 
 def build_corpus(config, rng):
     if config.corpus_dir:
-        return load_image_directory(
-            config.corpus_dir, (config.image_channels, config.image_size, config.image_size))
+        path = config.corpus_dir
+        images = [load_image(os.path.join(path, fname), config) for fname in sorted(os.listdir(path))
+                  if fname.lower().endswith((".pgm", ".ppm"))]
+        if not images:
+            raise storage.StorageError(f"{path}: no P5/P6 images found")
+        return images
     return [
         make_procedural_image(rng, config.image_size, config.image_channels)
         for _ in range(config.corpus_size)
@@ -188,7 +183,7 @@ def build_corpus(config, rng):
 
 def build_provider(config, channels=None):
     return RandomProjectionProvider(
-        config.feature_dim, config.feature_h, config.feature_w,
+        config.D, config.H, config.W,
         channels=config.image_channels if channels is None else channels,
         image_size=config.image_size, seed=config.seed + 7919,
     )
@@ -246,7 +241,7 @@ def train(config: TrainConfig, log_fn=None):
     train_images = corpus[:-n_val]
     val_images = corpus[-n_val:]
     provider = build_provider(config)
-    model = AttentiveAlignmentModel(config.model_config())
+    model = AttentiveAlignmentModel(config)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loss_grid = geometry.make_regular_grid(20)
 

@@ -110,12 +110,12 @@ _VALUE_PARSERS = {int: int, float: float, str: str}
 
 class ConfigCodec:
     """Flat `key = value` form of a config dataclass, derived from the declared
-    type (int, float or str) of each field set through __init__."""
+    type (int, float or str) of each field."""
 
     @classmethod
     def _field_types(cls):
         hints = typing.get_type_hints(cls)
-        return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+        return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
     def to_lines(self):
         return [f"{key} = {getattr(self, key)}" for key in self._field_types()]

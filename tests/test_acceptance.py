@@ -254,7 +254,7 @@ def test_criterion_6_desk_scale_learning():
             config = pipeline.TrainConfig(batch_size=16, seed=seed)
             assert config.total_steps == 2000
             assert config.learning_rate == 2e-4
-            assert (config.feature_dim, config.feature_h, config.feature_w) == (16, 8, 8)
+            assert (config.D, config.H, config.W) == (16, 8, 8)
             model, history, val_batch = pipeline.train(config)
             theta_vecs, _ = pipeline.predict(model, val_batch)
             val_tgd = pipeline.evaluate_tgd(theta_vecs, val_batch)
@@ -272,8 +272,8 @@ def test_criterion_6_desk_scale_learning():
 def test_criterion_7_pck_oracle():
     with criterion(7, "keypoint-accuracy oracle"):
         config = pipeline.TrainConfig(
-            batch_size=8, total_steps=1, feature_dim=4,
-            feature_h=8, feature_w=8, kernel_count=4, encoder_channels=4,
+            batch_size=8, total_steps=1, D=4,
+            H=8, W=8, N=4, encoder_channels=4,
             corpus_size=12, seed=0,
         )
         model, _, val_batch = pipeline.train(config)

@@ -14,7 +14,7 @@ import pytest
 from oacnet import geometry, pipeline, storage
 from oacnet import correlation as corr
 from oacnet.cli import build_parser, main
-from oacnet.network import AttentiveAlignmentModel
+from oacnet.network import AttentiveAlignmentModel, ModelConfig
 
 COMMANDS = ["train", "check-equiv", "bench", "eval", "pck", "warp"]
 
@@ -22,10 +22,10 @@ SMALL_CONFIG = {
     "learning_rate": "2e-4",
     "batch_size": "2",
     "total_steps": "3",
-    "feature_dim": "4",
-    "feature_h": "8",
-    "feature_w": "8",
-    "kernel_count": "4",
+    "D": "4",
+    "H": "8",
+    "W": "8",
+    "N": "4",
     "encoder_channels": "4",
     "corpus_size": "12",
     "seed": "0",
@@ -48,10 +48,12 @@ def trained_dir(tmp_path_factory):
 
 
 def assert_one_line_error(capsys, *fragments):
-    err = capsys.readouterr().err
+    """Checks stderr, and returns what was printed to stdout."""
+    out, err = capsys.readouterr()
     assert err.startswith("error") and err.count("\n") == 1, err
     for fragment in fragments:
         assert fragment in err
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +68,14 @@ class TestTrainCommand:
         assert_one_line_error(capsys, "No such file or directory", "absent.cfg")
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
-        # provider is a constant, not a key, and epochs, steps_per_epoch and the
-        # G/S widths restate total_steps and encoder_channels: a file that holds
-        # one is refused
+        # provider is a constant, not a key; epochs, steps_per_epoch and the G/S
+        # widths restate total_steps and encoder_channels; and feature_dim,
+        # feature_h, feature_w and kernel_count are now spelled D, H, W and N: a
+        # file that holds one is refused
         for key, value in (("warmup", "5"), ("provider", "random_projection"),
                            ("epochs", "50"), ("steps_per_epoch", "40"), ("g_hidden", "32"),
-                           ("g_out", "32"), ("s_hidden", "16")):
+                           ("g_out", "32"), ("s_hidden", "16"), ("feature_dim", "16"),
+                           ("feature_h", "8"), ("feature_w", "8"), ("kernel_count", "48")):
             config = tmp_path / "bad.cfg"
             config.write_text(f"learning_rate = 0.1\n{key} = {value}\n")
             code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
@@ -80,7 +84,7 @@ class TestTrainCommand:
             assert not (tmp_path / "out").exists()
 
     def test_bad_feature_grid_exits_1(self, tmp_path, capsys):
-        config = write_config(tmp_path / "grid.cfg", feature_h="5")
+        config = write_config(tmp_path / "grid.cfg", H="12")
         code = main(["train", "--config", config, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert_one_line_error(capsys, f"error: {config}: image_size 32 not divisible")
@@ -105,7 +109,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("overrides,fragment", [
         ({"family": "bogus"}, "unknown family 'bogus'"),
-        ({"feature_h": "4", "feature_w": "4"}, "smaller than the encoder kernel"),
+        ({"H": "4", "W": "4"}, "smaller than the encoder kernel"),
         ({"oac_path": "dircet"}, "oac_path must be"),
         ({"encoder_channels": "0"}, "encoder_channels must be >= 1, got 0"),
         ({"seed": "-1"}, "seed must be >= 0, got -1"),
@@ -114,8 +118,10 @@ class TestTrainCommand:
         ({"learning_rate": "inf"}, "learning_rate must be finite and non-negative, got inf"),
         # SMALL_CONFIG sets corpus_size = 12, which a corpus directory would leave unread
         ({"corpus_dir": "imgs"}, "corpus_size is read only without corpus_dir, got 12"),
+        ({"tps_grid": "5"}, "tps_grid is read only with family = tps, got 5 beside "
+                            "family = affine"),
     ], ids=["family", "grid-below-kernel", "oac-path", "encoder-channels", "seed",
-            "seed-flag", "lr-nan", "lr-inf", "corpus-size-beside-dir"])
+            "seed-flag", "lr-nan", "lr-inf", "corpus-size-beside-dir", "tps-grid-beside-affine"])
     def test_bad_model_config_exits_1_before_output(self, overrides, fragment, tmp_path,
                                                     capsys):
         flags = [arg for k, v in overrides.items() if k.startswith("--") for arg in (k, v)]
@@ -199,7 +205,7 @@ class TestTrainCommand:
     def test_checkpoint_reloads(self, trained_dir):
         model, config = AttentiveAlignmentModel.load(str(trained_dir / "checkpoint"),
                                                      pipeline.TrainConfig)
-        assert model.config == config.model_config()
+        assert model.config == config
         assert model.config.D == 4
 
     def test_checkpoint_config_is_the_training_config(self, trained_dir, tmp_path):
@@ -221,9 +227,7 @@ class TestTrainCommand:
         assert code == 0
         model, _ = AttentiveAlignmentModel.load(str(tmp_path / "out" / "checkpoint"),
                                                 pipeline.TrainConfig)
-        fresh = AttentiveAlignmentModel(
-            pipeline.TrainConfig.from_file(config).model_config()
-        )
+        fresh = AttentiveAlignmentModel(pipeline.TrainConfig.from_file(config))
         for p, q in zip(model.parameters(), fresh.parameters()):
             assert p.name == q.name
             assert np.array_equal(p.value, q.value), p.name
@@ -588,8 +592,7 @@ class TestEvalCommand:
         ("checkpoint/config.txt", "image_size = 32", "image_size = 32.0",
          "image_size: expected int, got '32.0'"),
         ("checkpoint/config.txt", None, "bogus = 1", "unknown key 'bogus'"),
-        ("checkpoint/config.txt", "kernel_count = 4", "kernel_count = 4x",
-         "kernel_count: expected int, got '4x'"),
+        ("checkpoint/config.txt", "N = 4", "N = 4x", "N: expected int, got '4x'"),
         # a run saved before total_steps replaced epochs x steps_per_epoch
         ("checkpoint/config.txt", "total_steps = 3", "epochs = 1", "unknown key 'epochs'"),
     ], ids=["train-config-key", "checkpoint-config-key", "checkpoint-config-int",
@@ -607,22 +610,22 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
         assert_one_line_error(capsys, f"error: {path}:{lines.index(new) + 1}: {fragment}")
 
-    @pytest.mark.parametrize("command", ["eval", "warp"])
-    def test_model_only_checkpoint_config_exits_1(self, command, trained_dir, tmp_path,
-                                                  capsys):
-        # a checkpoint whose config.txt holds ModelConfig keys (family, D, H, W,
-        # N, ...) describes no provider or pair synthesis, so it is refused
-        run = shutil.copytree(trained_dir, tmp_path / "run")
-        config = run / "checkpoint" / "config.txt"
-        model_config = pipeline.TrainConfig.from_file(str(config)).model_config()
-        config.write_text("\n".join(model_config.to_lines()) + "\n")
-        argv = [command, "--checkpoint", str(run / "checkpoint")]
-        if command == "warp":
-            src, _ = save_ramp(tmp_path / "in.pgm")
-            argv += ["--image", src, "--out", str(tmp_path / "o.pgm")]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {config}:2: unknown key 'D'\n"
-        assert not (tmp_path / "o.pgm").exists()
+    def test_model_only_checkpoint_config_reads_defaults(self, trained_dir, tmp_path, capsys):
+        # a config.txt that holds only the model's keys, as ModelConfig writes
+        # them, reads every other key at its default, like any config file; the
+        # keys eval reads beyond the model's are at their defaults in this run
+        checkpoint = shutil.copytree(trained_dir, tmp_path / "run") / "checkpoint"
+        argv = ["eval", "--checkpoint", str(checkpoint), "--pairs", "5"]
+        assert main(argv) == 0
+        full = capsys.readouterr()
+        config = checkpoint / "config.txt"
+        model_keys = list(ModelConfig._field_types())
+        lines = [line for line in config.read_text().splitlines()
+                 if line.split(" = ")[0] in model_keys]
+        assert [line.split(" = ")[0] for line in lines] == model_keys
+        config.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 0
+        assert capsys.readouterr() == full and full.err == ""
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_malformed_train_config_exits_1(self, command, trained_dir, tmp_path, capsys):
@@ -677,7 +680,8 @@ class TestWarpCommand:
             storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(size))
             assert main(["warp", "--image", src, "--theta-file",
                          str(tmp_path / "theta.oact"), "--out", str(tmp_path / "o.pgm")]) == 1
-            assert_one_line_error(capsys, "theta must hold 6 values", f"got {size}")
+            # the theta file is read before the configuration is printed
+            assert assert_one_line_error(capsys, "theta must hold 6 values", f"got {size}") == ""
             assert not (tmp_path / "o.pgm").exists()
 
     def test_theta_lattice_above_bound_exits_1(self, tmp_path, capsys):
@@ -734,12 +738,16 @@ class TestWarpCommand:
 
     def test_checkpoint_refuses_image_of_other_channel_count(self, trained_dir, tmp_path,
                                                              capsys):
-        # trained_dir's model saw 16-channel images; a P5 ramp has one channel
+        # trained_dir's model saw 16-channel images; a P5 ramp has one channel.
+        # The image is checked against the run's config before anything is printed.
         src, _ = save_ramp(tmp_path / "in.pgm")
         code = main(["warp", "--image", src, "--checkpoint",
                      str(trained_dir / "checkpoint"), "--out", str(tmp_path / "warped.pgm")])
         assert code == 1
-        assert_one_line_error(capsys, "provider expects (16, 32, 32) images, got (1, 32, 32)")
+        stdout, err = capsys.readouterr()
+        assert err == (f"error: {src}: image shape (1, 32, 32), expected "
+                       f"(image_channels, image_size, image_size) = (16, 32, 32)\n")
+        assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     @pytest.mark.parametrize("blob,fragment", [

@@ -55,8 +55,8 @@ from oacnet.cli import main
 FUZZ = settings(max_examples=20, deadline=None)
 
 TRAIN_CONFIG = pipeline.TrainConfig(
-    learning_rate=2e-4, batch_size=2, total_steps=2, feature_dim=4,
-    kernel_count=4, encoder_channels=4, image_size=16, image_channels=1, corpus_size=4,
+    learning_rate=2e-4, batch_size=2, total_steps=2, D=4,
+    N=4, encoder_channels=4, image_size=16, image_channels=1, corpus_size=4,
 )
 
 JUNK_LINE = st.text(

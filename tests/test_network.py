@@ -55,7 +55,7 @@ class TestModelConfig:
         assert cfg.Q == 6
         assert ModelConfig(family="tps", D=8, H=8, W=8).Q == 18
 
-    @pytest.mark.parametrize("cfg,ec", [(pipeline.TrainConfig().model_config(), 32),
+    @pytest.mark.parametrize("cfg,ec", [(pipeline.TrainConfig(), 32),
                                         (ModelConfig(), 128)], ids=["desk", "paper"])
     def test_g_and_s_widths_follow_encoder_channels(self, cfg, ec):
         # the desk and paper models keep the shapes they had when the G and S

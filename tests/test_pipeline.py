@@ -24,7 +24,7 @@ from oacnet.tensor import ShapeError, l2_normalize_channels
 def small_config(**overrides):
     base = dict(
         learning_rate=2e-4, batch_size=2, total_steps=3,
-        feature_dim=4, feature_h=8, feature_w=8, kernel_count=4,
+        D=4, H=8, W=8, N=4,
         encoder_channels=4, seed=0,
     )
     if "corpus_dir" not in overrides:  # corpus_size is refused beside corpus_dir
@@ -269,12 +269,12 @@ class TestTrainConfig:
             TrainConfig.from_file(str(path))
 
     @pytest.mark.parametrize("overrides", [
-        dict(feature_h=5), dict(feature_w=6), dict(feature_h=4, feature_w=4),
+        dict(H=5), dict(W=6), dict(H=4, W=4),
     ])
     def test_feature_grid_checked(self, overrides):
-        # a grid that does not divide the image fails TrainConfig's own check
-        # (ValueError); one smaller than the encoder kernel fails ModelConfig's
-        # (ShapeError)
+        # each grid is smaller than the encoder kernel, which ModelConfig's
+        # check refuses (ShapeError) before TrainConfig's own divisibility
+        # check (ValueError) runs
         with pytest.raises((ValueError, ShapeError)):
             TrainConfig(**overrides)
 
@@ -317,7 +317,7 @@ class TestTrainConfig:
 class TestTrain:
     def test_zero_learning_rate_parameters_unchanged(self):
         config = small_config(learning_rate=0.0)
-        init_model = pipeline.AttentiveAlignmentModel(config.model_config())
+        init_model = pipeline.AttentiveAlignmentModel(config)
         init = {name: arr.copy() for name, arr in init_model.state_tensors().items()}
         model, _, _ = train(config)
         final = model.state_tensors()
@@ -330,7 +330,7 @@ class TestTrain:
         # The output head starts at the identity offset, so the first batch
         # costs exactly what an identity prediction would.
         config = small_config()
-        model = pipeline.AttentiveAlignmentModel(config.model_config())
+        model = pipeline.AttentiveAlignmentModel(config)
         batch = make_batch_for(model, config, seed=9)
         grid = geometry.make_regular_grid(20)
         loss = batch_loss_and_grads(model, batch, grid, mode="train")
@@ -418,7 +418,7 @@ class TestTrain:
 
 class TestEvaluate:
     def warmed_identity_model(self, config):
-        model = pipeline.AttentiveAlignmentModel(config.model_config())
+        model = pipeline.AttentiveAlignmentModel(config)
         batch = make_batch_for(model, config, seed=1)
         grid = geometry.make_regular_grid(20)
         batch_loss_and_grads(model, batch, grid, mode="train")
