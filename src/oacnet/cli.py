@@ -178,10 +178,11 @@ def cmd_eval(args):
     _at_least("--seed", args.seed, 0)
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
+    # every input is read and checked before anything is printed
+    model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     if args.dump_attention:
         publish = _outputs("--dump-attention", args.dump_attention, directory=True)
     _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
-    model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     rng = np.random.default_rng(args.seed)
     images = [
         pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
@@ -211,11 +212,12 @@ def cmd_pck(args):
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
     _at_least("--image-size", args.image_size, 2)
-    _print_config({"keypoints_csv": args.keypoints_csv, "theta_file": args.theta_file,
-                   "alpha": args.alpha, "image_size": args.image_size})
+    # every input is read and checked before anything is printed
     theta = (geometry.identity_vector("affine") if args.theta_file is None
              else geometry.theta_vector(storage.load_tensor(args.theta_file)))
     pairs = storage.load_keypoints_csv(args.keypoints_csv)
+    _print_config({"keypoints_csv": args.keypoints_csv, "theta_file": args.theta_file,
+                   "alpha": args.alpha, "image_size": args.image_size})
     predicted = {pid: theta for pid in pairs}
     image_hw = (args.image_size, args.image_size)
     score = geometry.pck(pairs, predicted, args.alpha, image_hw)

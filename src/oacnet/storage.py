@@ -195,7 +195,8 @@ def load_image(path):
 def load_keypoints_csv(path):
     """Rows: pair_id, src_x, src_y, trg_x, trg_y, bbox_h, bbox_w; every row of
     a pair must give the same bbox. The first non-blank line is a header, and
-    skipped, when its first field is exactly "pair_id".
+    skipped, when its first field is exactly "pair_id". A file with no data
+    row is refused.
 
     Returns a dict pair_id -> dict(src (n,2), trg (n,2), bbox_h, bbox_w).
     """
@@ -205,6 +206,8 @@ def load_keypoints_csv(path):
                 for lineno, raw in enumerate(f, start=1) if raw.strip()]
     if rows and rows[0][1][0] == "pair_id":
         rows = rows[1:]
+    if not rows:
+        raise StorageError(f"{path}: no keypoint rows")
     for lineno, fields in rows:
         if len(fields) != 7:
             raise StorageError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")

@@ -4,15 +4,21 @@ and ADAM.
 All arrays are float64, row-major. Every op validates its output for NaN/Inf.
 Contractions are written as the matmul, operand order and memory layouts
 included, that numpy's einsum(..., optimize=True) calls for them: results are
-bit-equal to that formulation, without its path planning on every call.
+bit-equal to that formulation, without its path planning on every call. The
+one exception is a conv that runs Winograd F(3x3, kxk) because it issues fewer
+multiplies than im2col there (see the convolution section); it rounds
+differently, up to about 1e-13 relative.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class ShapeError(Exception):
@@ -81,6 +87,60 @@ def l2_normalize_channels(x):
 
 # ---------------------------------------------------------------------------
 # Convolution (cross-correlation, no kernel flip)
+#
+# A k x k conv runs whichever of two algorithms issues fewer multiplies for the
+# call's shapes (conv2d_multiplies): im2col, one GEMM over every output's k x k
+# window, or Winograd minimal filtering F(3x3, kxk) (Lavin & Gray, "Fast
+# Algorithms for Convolutional Neural Networks", arXiv:1509.09308), which gets
+# each 3x3 output tile from its (k+2)x(k+2) input tile through fixed linear
+# transforms of the tile, the kernel and their elementwise product.
+
+WINOGRAD_TILE = 3  # output tile side m of F(m x m, k x k)
+# Toom-Cook points, taken in this order: the first k + 2 serve a k x k kernel
+WINOGRAD_POINTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
+
+
+def conv2d_multiplies(B, cin, cout, k, Ho, Wo):
+    """Multiplies a forward issues, as (im2col, Winograd). Winograd's are those
+    of its input, kernel, elementwise and output stages, over an output padded
+    up to whole tiles."""
+    m = WINOGRAD_TILE
+    tiles = B * -(-Ho // m) * -(-Wo // m)
+    a2 = (k + m - 1) ** 2
+    im2col = B * Ho * Wo * cout * cin * k * k
+    winograd = a2 * (a2 * cin * tiles + k * k * cout * cin + cout * cin * tiles
+                     + m * m * cout * tiles)
+    return im2col, winograd
+
+
+@functools.cache
+def _winograd_transforms(k):
+    """(Bt (x) Bt, G (x) G, At (x) At) of F(3x3, kxk) in float64, built exactly.
+
+    A 1-D correlation y[i] = sum_j d[i + j] g[j] is the transpose of multiplying
+    g's polynomial by one of degree m - 1, which evaluating both at alpha = k + m - 1
+    points and interpolating computes. So y = At @ ((G @ g) * (Bt @ d)), where
+    G[i, j] = p_i^j (j < k), At[j, i] = p_i^j (j < m), and row i of Bt holds the
+    coefficients of point i's Lagrange polynomial. In 2-D a tile d and kernel g
+    become Bt d Bt^T and G g G^T, whose row-major vectorization is one
+    product with a Kronecker matrix.
+    """
+    m = WINOGRAD_TILE
+    points = [Fraction(p) for p in WINOGRAD_POINTS[: k + m - 1]]
+    bt = []
+    for i, p in enumerate(points):
+        coeffs = [Fraction(1)]  # lowest power first
+        for q in points[:i] + points[i + 1 :]:
+            # times (x - q) / (p - q): x shifts each coefficient up one power
+            coeffs = [(up - q * c) / (p - q) for up, c in zip([0] + coeffs, coeffs + [0])]
+        bt.append(coeffs)
+    g = [[p**j for j in range(k)] for p in points]
+    at = [[p**j for p in points] for j in range(m)]
+    mats = tuple(np.kron(np.array(t, dtype=object), np.array(t, dtype=object)).astype(np.float64)
+                 for t in (bt, g, at))
+    for mat in mats:
+        mat.flags.writeable = False  # every call shares them
+    return mats
 
 
 def conv2d_forward(x, w, b):
@@ -95,6 +155,9 @@ def conv2d_forward(x, w, b):
     Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
+    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo)
+    if winograd < im2col and k + WINOGRAD_TILE - 1 <= len(WINOGRAD_POINTS):
+        return winograd_conv2d_forward(x, w, b)
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
     # (Cout, Cin*k*k) @ (Cin*k*k, B*Ho*Wo)
     cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, B * Ho * Wo)
@@ -106,7 +169,77 @@ def conv2d_forward(x, w, b):
     return out, (x, w, cols if k > 1 else None)
 
 
+def winograd_conv2d_forward(x, w, b):
+    """conv2d_forward by Winograd F(3x3, kxk), for shapes conv2d_forward checked.
+
+    Tiles are indexed (B, tile row, tile column). Each stage is one GEMM:
+    V = (Bt (x) Bt) tiles and U = (G (x) G) w, then M = U @ V as one
+    (Cout, Cin) @ (Cin, tiles) product per tile entry, and Y = (At (x) At) M.
+    The cache keeps U and V; an output side that is not a multiple of 3 is
+    computed on a zero-padded input and cropped.
+    """
+    B, cin, H, W = x.shape
+    cout, _, k, _ = w.shape
+    Ho, Wo = H - k + 1, W - k + 1
+    m = WINOGRAD_TILE
+    a = k + m - 1
+    th, tw = -(-Ho // m), -(-Wo // m)
+    BB, GG, AA = _winograd_transforms(k)
+    xp = x
+    if (m * th, m * tw) != (Ho, Wo):
+        xp = np.pad(x, ((0, 0), (0, 0), (0, m * th - Ho), (0, m * tw - Wo)))
+    sb, sc, sh, sw = xp.strides
+    tiles = as_strided(xp, (a, a, cin, B, th, tw), (sh, sw, sc, sb, m * sh, m * sw),
+                       writeable=False)
+    V = (BB @ tiles.reshape(a * a, -1)).reshape(a * a, cin, -1)
+    U = (GG @ w.reshape(cout * cin, k * k).T).reshape(a * a, cout, cin)
+    Y = AA @ (U @ V).reshape(a * a, -1)
+    # (m, m, Cout, B, th, tw) -> (Cout, B, m*th, m*tw): im2col's memory layout
+    full = Y.reshape(m, m, cout, B, th, tw).transpose(2, 3, 4, 0, 5, 1)
+    full = full.reshape(cout, B, m * th, m * tw)
+    out = full[:, :, :Ho, :Wo].transpose(1, 0, 2, 3)
+    out += b[None, :, None, None]
+    assert_finite(out, "conv2d output")
+    return out, (x, w, U, V)
+
+
+def _winograd_conv2d_backward(cache, gout):
+    """The adjoint of winograd_conv2d_forward's four products: dM = (At (x) At)^T dY,
+    then dU = dM V^T and dV = U^T dM, then gw = dU read through G (x) G and
+    gx = (Bt (x) Bt)^T dV scatter-added over the overlapping tiles."""
+    x, w, U, V = cache
+    cout, cin, k, _ = w.shape
+    B, _, Ho, Wo = gout.shape
+    H, W = x.shape[2:]
+    m = WINOGRAD_TILE
+    a = k + m - 1
+    th, tw = -(-Ho // m), -(-Wo // m)
+    BB, GG, AA = _winograd_transforms(k)
+    gb = gout.sum(axis=(0, 2, 3))
+    if (m * th, m * tw) != (Ho, Wo):
+        gout = np.pad(gout, ((0, 0), (0, 0), (0, m * th - Ho), (0, m * tw - Wo)))
+    dY = gout.reshape(B, cout, th, m, tw, m).transpose(3, 5, 1, 0, 2, 4)
+    dM = (AA.T @ dY.reshape(m * m, -1)).reshape(a * a, cout, -1)
+    # dU = dM V^T; gw in w's (Cout, Cin, k, k) layout
+    gw = ((dM @ V.transpose(0, 2, 1)).reshape(a * a, -1).T @ GG).reshape(w.shape)
+    # dV^T = dM^T U, with Cin last, so that each tile's gradient (a, a, B, Cin)
+    # adds into a (H, W, B, Cin) accumulator over runs of B*Cin values
+    dV = dM.transpose(0, 2, 1) @ U
+    del dM
+    dtiles = (BB.T @ dV.reshape(a * a, -1)).reshape(a, a, B, th, tw, cin)
+    del dV
+    acc = np.zeros((m * th + k - 1, m * tw + k - 1, B, cin))
+    for i in range(th):
+        for j in range(tw):
+            acc[m * i : m * i + a, m * j : m * j + a] += dtiles[:, :, :, i, j]
+    gx = np.empty_like(x)  # x's memory layout, which later reductions follow
+    gx[...] = acc[:H, :W].transpose(2, 3, 0, 1)
+    return gx, gw, gb
+
+
 def conv2d_backward(cache, gout):
+    if len(cache) == 4:  # a Winograd forward's (x, w, U, V)
+        return _winograd_conv2d_backward(cache, gout)
     x, w, cols = cache
     cout, cin, k, _ = w.shape
     B, _, Ho, Wo = gout.shape

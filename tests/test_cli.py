@@ -494,6 +494,15 @@ class TestEvalCommand:
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
 
+    def test_missing_checkpoint_exits_1_before_any_output(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path / "nope"), "--pairs", "2"]) == 1
+        assert assert_one_line_error(capsys, str(tmp_path / "nope" / "config.txt")) == ""
+
+    def test_keypoints_without_rows_exit_1_before_any_output(self, tmp_path, capsys):
+        csv = write_keypoints(tmp_path / "kp.csv", [])
+        assert main(["pck", "--keypoints-csv", csv]) == 1
+        assert assert_one_line_error(capsys, f"{csv}: no keypoint rows") == ""
+
     def test_bad_theta_size_exits_1(self, tmp_path, capsys):
         storage.save_tensor(str(tmp_path / "theta.oact"), np.zeros(7))
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])

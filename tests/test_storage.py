@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import tempfile
 import time
@@ -270,6 +271,13 @@ class TestKeypointsCsv:
             assert geometry.pck(pairs, identity, 0.1, (240, 240)) == 0.5
         path.write_text(rows + "pair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n")
         with pytest.raises(storage.StorageError, match=f"{path}:3: could not convert"):
+            storage.load_keypoints_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "pair_id,src_x,src_y,trg_x,trg_y,bbox_h,bbox_w\n"])
+    def test_no_data_rows_rejected(self, text, tmp_path):
+        path = tmp_path / "kp.csv"
+        path.write_text(text)
+        with pytest.raises(storage.StorageError, match=re.escape(f"{path}: no keypoint rows")):
             storage.load_keypoints_csv(str(path))
 
     def test_wrong_field_count_rejected(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from oacnet import tensor
 from oacnet.tensor import (
     BN_EPS,
     Adam,
@@ -16,6 +17,7 @@ from oacnet.tensor import (
     assert_finite,
     conv2d_backward,
     conv2d_forward,
+    conv2d_multiplies,
     l2_normalize_channels,
     relu_backward,
     relu_forward,
@@ -61,6 +63,27 @@ def conv2d_backward_im2col_reference(x, w, gout):
             tap = (w[:, :, i, j].T @ g).reshape(cin, B, Ho, Wo)
             gx[:, :, i : i + Ho, j : j + Wo] += tap.transpose(1, 0, 2, 3)
     return gx, gw, gout.sum(axis=(0, 2, 3))
+
+
+def conv2d_im2col_reference(x, w, b):
+    """The im2col forward: one GEMM of the flattened kernel over every window."""
+    cout, cin, k, _ = w.shape
+    cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B, Cin, Ho, Wo, k, k
+    return np.tensordot(cols, w, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2) \
+        + b[None, :, None, None]
+
+
+def max_relative_deviation(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+# (B, Cin, H, W, Cout, k): k = 3, 5, 7 at B = 1, 2, 8, each with an output side
+# of 6 (whole 3x3 tiles) and of 4 (padded and cropped); one non-square map
+WINOGRAD_SHAPES = [(B, 3, k + side - 1, k + side - 1, 4, k)
+                   for k in (3, 5, 7) for B in (1, 2, 8) for side in (6, 4)] + [
+    (2, 3, 12, 9, 4, 5),  # 8 x 5 output
+    (8, 128, 15, 15, 128, 7),  # paper-scale encoder, training batch
+]
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +143,9 @@ class TestConv2d:
         report = grad_check(loss_fn, [wp, bp])
         assert max(report.values()) < 1e-4
 
+    # every row runs im2col; the paper-scale training batch runs Winograd and
+    # is checked for closeness in test_winograd_matches_im2col
     @pytest.mark.parametrize("B,cin,H,cout,k", [
-        (8, 128, 15, 128, 7),  # paper-scale encoder, training batch
         (1, 128, 15, 128, 7),  # paper-scale encoder, one pair
         (16, 48, 8, 32, 7),    # desk-scale encoder
         (8, 133, 9, 128, 1),   # paper-scale G branch
@@ -153,6 +177,63 @@ class TestConv2d:
         # view; at sizes this small, how OpenBLAS rounds a GEMM can depend on
         # operand layout, so only closeness is asserted here
         assert np.allclose(gw, rw, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("B,cin,H,W,cout,k", WINOGRAD_SHAPES)
+    def test_winograd_matches_im2col(self, B, cin, H, W, cout, k):
+        rng = np.random.default_rng(B * cin * H + W * k)
+        x = rng.standard_normal((B, cin, H, W))
+        w = rng.standard_normal((cout, cin, k, k))
+        b = rng.standard_normal(cout)
+        out, cache = tensor.winograd_conv2d_forward(x, w, b)
+        assert out.shape == (B, cout, H - k + 1, W - k + 1)
+        assert max_relative_deviation(out, conv2d_im2col_reference(x, w, b)) <= 1e-12
+        gout = rng.standard_normal(out.shape)
+        gx, gw, gb = conv2d_backward(cache, gout)
+        rx, rw, rb = conv2d_backward_im2col_reference(x, w, gout)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert max_relative_deviation(gx, rx) <= 1e-12
+        assert max_relative_deviation(gw, rw) <= 1e-12
+        assert gb.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize("B,cin,cout,H,k,im2col,winograd,uses_winograd", [
+        (8, 128, 128, 15, 7, 520_224_768, 227_764_224, True),  # paper_train step
+        (1, 128, 128, 15, 7, 65_028_096, 85_370_112, False),  # paper_eval step
+        (16, 48, 32, 8, 7, 4_816_896, 13_499_136, False),  # desk step
+        # fewer multiplies, but the nine Toom-Cook points serve k <= 7 only
+        (8, 128, 128, 17, 9, 859_963_392, 448_284_672, False),
+    ])
+    def test_algorithm_chosen_by_multiply_count(self, B, cin, cout, H, k, im2col, winograd,
+                                                uses_winograd, monkeypatch):
+        assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1) == (im2col, winograd)
+        calls = []
+        winograd_forward = tensor.winograd_conv2d_forward
+        monkeypatch.setattr(tensor, "winograd_conv2d_forward",
+                            lambda *args: calls.append(1) or winograd_forward(*args))
+        out, cache = conv2d_forward(np.zeros((B, cin, H, H)), np.zeros((cout, cin, k, k)),
+                                    np.zeros(cout))
+        assert out.shape == (B, cout, H - k + 1, H - k + 1)
+        assert len(calls) == int(uses_winograd) and len(cache) == 3 + int(uses_winograd)
+
+    def test_winograd_gradients(self):
+        # B=4, 32 -> 32, 15x15: 15,448,320 Winograd multiplies against 16,257,024
+        rng = np.random.default_rng(17)
+        xp = Parameter(rng.uniform(-1, 1, (4, 32, 15, 15)), "x")
+        wp = Parameter(rng.uniform(-1, 1, (32, 32, 7, 7)), "w")
+        bp = Parameter(rng.uniform(-1, 1, 32), "b")
+        proj = rng.standard_normal((4, 32, 9, 9))
+
+        def loss_fn(compute_grads):
+            out, cache = conv2d_forward(xp.value, wp.value, bp.value)
+            assert len(cache) == 4  # the Winograd path's (x, w, U, V)
+            if compute_grads:
+                gx, gw, gb = conv2d_backward(cache, proj)
+                xp.grad += gx
+                wp.grad += gw
+                bp.grad += gb
+            return float(np.sum(out * proj))
+
+        report = grad_check(loss_fn, [xp, wp, bp])
+        assert max(report.values()) < 1e-4
 
     def test_input_gradient(self):
         rng = np.random.default_rng(2)
