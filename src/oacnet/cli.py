@@ -343,6 +343,9 @@ def main(argv=None):
         # usage error, or malformed or missing input: one line, not a traceback
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # an allocation the machine cannot make, e.g. a huge width
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except (NumericError, pipeline.DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -284,13 +284,6 @@ def bilinear_warp(image, theta):
     return _warp_crop(image, 0, theta, "warped image")
 
 
-def _check_pad(image, pad):
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
-    if pad >= min(image.shape[1], image.shape[2]):
-        raise ValueError("reflection pad must be smaller than the image")
-
-
 BORDER_PROBE_POINTS = 41  # per edge of the crop
 
 
@@ -318,16 +311,19 @@ def max_border_displacement(theta):
 
 
 def mirror_pad_center_crop(image, pad, theta):
-    """(Source crop, target crop) of a training pair: the source is the image
-    itself; the target samples, at T(g) for every pixel center g of the crop,
-    the image as np.pad(mode="reflect") extends it by `pad` on both spatial axes.
+    """The target crop of a training pair (its source is the image itself):
+    it samples, at T(g) for every pixel center g of the crop, the image as
+    np.pad(mode="reflect") extends it by `pad` on both spatial axes.
 
     The transform acts in the crop's normalized frame. The padded image is
-    never built: samples read the reflected pixels directly. Raises when the
-    transform can reach outside the padded extent.
+    never built, and the image is not copied: samples read the reflected
+    pixels directly. Raises when the pad is not in 1..side-1 or the transform
+    can reach outside the padded extent.
     """
     H, W = image.shape[1:]
-    _check_pad(image, pad)
+    if not 1 <= pad < min(H, W):
+        raise ValueError(f"pad must be at least 1 and below the image's shorter side "
+                         f"{min(H, W)}, got {pad}")
     # slack available beyond the crop, in crop-normalized units
     slack_x = 2.0 * pad / (W - 1)
     slack_y = 2.0 * pad / (H - 1)
@@ -337,7 +333,7 @@ def mirror_pad_center_crop(image, pad, theta):
             f"pad {pad} too small: transform exceeds crop frame by {excess:.4f}, "
             f"slack is {min(slack_x, slack_y):.4f}"
         )
-    return image.copy(), _warp_crop(image, pad, theta, "target crop")
+    return _warp_crop(image, pad, theta, "target crop")
 
 
 # ---------------------------------------------------------------------------

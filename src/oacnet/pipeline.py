@@ -1,10 +1,10 @@
 """Feature providers, synthetic pair generation, the self-supervised training
 loop, and evaluation.
 
-Training needs no dataset: pairs are (crop of an image, warped crop) with the
-sampled transform as free ground truth, and images come from a procedural
-corpus unless a directory of P5/P6 files is supplied. The feature provider is
-frozen; only the alignment head is optimized.
+Training needs no dataset: a pair is an image and its warped, mirror-padded
+crop, with the sampled transform as free ground truth, and images come from a
+procedural corpus unless a directory of P5/P6 files is supplied. The feature
+provider is frozen; only the alignment head is optimized.
 """
 
 from __future__ import annotations
@@ -103,29 +103,6 @@ def load_image(path, config):
 
 
 # ---------------------------------------------------------------------------
-# Pair generation
-
-
-def default_pad(image_hw):
-    return math.ceil(0.25 * min(image_hw))
-
-
-def generate_pair(image, family, pad, rng, grid_n=3):
-    """Sample a transform and produce (center crop, warped crop, ground truth).
-
-    The pad is grown beyond the requested amount when the drawn transform would
-    otherwise sample outside the padded extent.
-    """
-    theta = geometry.sample_random_transform(family, rng, grid_n=grid_n)
-    C, H, W = image.shape
-    excess = geometry.max_border_displacement(theta)
-    needed = math.ceil(excess * (min(H, W) - 1) / 2.0 + 1e-9) + 1
-    use_pad = min(max(pad, needed), min(H, W) - 1)
-    src, trg = geometry.mirror_pad_center_crop(image, use_pad, theta)
-    return src, trg, theta
-
-
-# ---------------------------------------------------------------------------
 # Training
 
 
@@ -148,7 +125,7 @@ class TrainConfig(ModelConfig):
     corpus_dir: str = ""
 
     _minimum = dict(ModelConfig._minimum, batch_size=1, total_steps=1, image_size=1,
-                    image_channels=1, corpus_size=1)
+                    image_channels=1, corpus_size=2)  # one image for training, one held out
 
     def __post_init__(self):
         super().__post_init__()  # first: H and W below the encoder kernel, 0 included
@@ -172,8 +149,10 @@ def build_corpus(config, rng):
         path = config.corpus_dir
         images = [load_image(os.path.join(path, fname), config) for fname in sorted(os.listdir(path))
                   if fname.lower().endswith((".pgm", ".ppm"))]
-        if not images:
-            raise storage.StorageError(f"{path}: no P5/P6 images found")
+        if len(images) < 2:
+            raise storage.StorageError(
+                f"{path}: {len(images)} P5/P6 image(s) found, training needs 2 or more: it "
+                f"holds out the last tenth of the corpus, one image at least")
         return images
     return [
         make_procedural_image(rng, config.image_size, config.image_channels)
@@ -191,15 +170,21 @@ def build_provider(config, channels=None):
 
 def build_pairs(images, provider, config, rng):
     """One (f_src, f_trg, theta_gt) triple per image of the iterable `images`,
-    in config's transform family. Each image is taken from the iterable before
-    rng draws its pair's transform (sample_random_transform), so a generator
-    may draw from rng too; nothing else draws from it. The pad comes from each
-    image's own shape."""
+    in config's transform family: the source is the image itself, the target
+    its crop warped by theta_gt with the image mirror-padded. Each image is
+    taken from the iterable before rng draws its pair's transform
+    (sample_random_transform), so a generator may draw from rng too; nothing
+    else draws from it. The pad is a quarter of the image's shorter side,
+    grown to the transform's border reach and kept below that side; a
+    transform that reaches further raises ValueError."""
     batch = []
     for image in images:
-        pad = default_pad(image.shape[1:])
-        src, trg, theta_gt = generate_pair(image, config.family, pad, rng, grid_n=config.tps_grid)
-        batch.append((provider(src), provider(trg), theta_gt))
+        theta = geometry.sample_random_transform(config.family, rng, grid_n=config.tps_grid)
+        side = min(image.shape[1:])
+        reach = geometry.max_border_displacement(theta) * (side - 1) / 2.0
+        pad = min(max(math.ceil(0.25 * side), math.ceil(reach + 1e-9) + 1), side - 1)
+        target = geometry.mirror_pad_center_crop(image, pad, theta)
+        batch.append((provider(image), provider(target), theta))
     return batch
 
 

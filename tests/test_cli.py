@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: exit codes, emitted files,
 and printed reports."""
 
+import math
 import pathlib
 import re
 import shlex
@@ -107,6 +108,14 @@ class TestTrainCommand:
         assert_one_line_error(capsys, f"error: {config}: tps_grid must be in", "100000")
         assert not out.exists()
 
+    def test_allocation_beyond_the_machine_exits_1(self, tmp_path, capsys):
+        # the 7x7 encoder weights alone would take 1.39 PiB: numpy refuses the
+        # allocation at once, and main reports it in one line
+        config = write_config(tmp_path / "wide.cfg", encoder_channels="1000000000000")
+        assert main(["train", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+        assert_one_line_error(capsys, "error: out of memory: Unable to allocate")
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.cfg"]
+
     @pytest.mark.parametrize("overrides,fragment", [
         ({"family": "bogus"}, "unknown family 'bogus'"),
         ({"H": "4", "W": "4"}, "smaller than the encoder kernel"),
@@ -120,8 +129,11 @@ class TestTrainCommand:
         ({"corpus_dir": "imgs"}, "corpus_size is read only without corpus_dir, got 12"),
         ({"tps_grid": "5"}, "tps_grid is read only with family = tps, got 5 beside "
                             "family = affine"),
+        # the last tenth of the corpus, one image at least, is held out
+        ({"corpus_size": "1"}, "corpus_size must be >= 2, got 1"),
     ], ids=["family", "grid-below-kernel", "oac-path", "encoder-channels", "seed",
-            "seed-flag", "lr-nan", "lr-inf", "corpus-size-beside-dir", "tps-grid-beside-affine"])
+            "seed-flag", "lr-nan", "lr-inf", "corpus-size-beside-dir", "tps-grid-beside-affine",
+            "corpus-size-one"])
     def test_bad_model_config_exits_1_before_output(self, overrides, fragment, tmp_path,
                                                     capsys):
         flags = [arg for k, v in overrides.items() if k.startswith("--") for arg in (k, v)]
@@ -439,12 +451,14 @@ class TestEvalCommand:
         images = [pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
                   for _ in range(5)]
         provider = pipeline.build_provider(tconf)
-        pad = pipeline.default_pad((tconf.image_size, tconf.image_size))
+        side = tconf.image_size
         batch = []
         for image in images:
-            src, trg, theta_gt = pipeline.generate_pair(image, tconf.family, pad, rng,
-                                                        grid_n=tconf.tps_grid)
-            batch.append((provider(src), provider(trg), theta_gt))
+            theta_gt = geometry.sample_random_transform(tconf.family, rng, grid_n=tconf.tps_grid)
+            reach = geometry.max_border_displacement(theta_gt) * (side - 1) / 2.0
+            pad = min(max(math.ceil(side / 4), math.ceil(reach + 1e-9) + 1), side - 1)
+            trg = geometry.mirror_pad_center_crop(image, pad, theta_gt)
+            batch.append((provider(image), provider(trg), theta_gt))
         theta_vecs, _ = pipeline.predict(model, batch)
         mean_tgd = pipeline.evaluate_tgd(theta_vecs, batch)
         pck = pipeline.evaluate_pck_synthetic(
@@ -490,6 +504,19 @@ class TestEvalCommand:
             f.write(line + "\n")
         assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2"]) == 1
         assert_one_line_error(capsys, "unknown", f"key '{line.split()[0]}'")
+
+    def test_allocation_beyond_the_machine_exits_1(self, trained_dir, tmp_path, capsys):
+        run = shutil.copytree(trained_dir, tmp_path / "run")
+        config = run / "checkpoint" / "config.txt"
+        text = config.read_text()
+        assert "encoder_channels = 4\n" in text
+        config.write_text(text.replace("encoder_channels = 4\n",
+                                       "encoder_channels = 1000000000000\n"))
+        dump = tmp_path / "dump"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--pairs", "2",
+                     "--dump-attention", str(dump)]) == 1
+        assert assert_one_line_error(capsys, "error: out of memory: Unable to allocate") == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1

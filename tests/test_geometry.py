@@ -272,8 +272,7 @@ class TestMirrorPadCenterCrop:
     def test_identity_round_trip(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 1, (2, 12, 12))
-        src, trg = mirror_pad_center_crop(img, 3, IDENTITY)
-        assert np.array_equal(src, img)
+        trg = mirror_pad_center_crop(img, 3, IDENTITY)
         assert np.array_equal(trg, img)
 
     def test_reflection_values(self):
@@ -333,9 +332,9 @@ class TestSamplerEquivalence:
     """The gather-based crop sampler is bit-equal to pad-then-sample."""
 
     def _assert_equal_to_reference(self, img, pad, theta):
-        src, trg = mirror_pad_center_crop(img, pad, theta)
+        trg = mirror_pad_center_crop(img, pad, theta)
         ref_src, ref_trg = _reference_pad_crop(img, pad, theta)
-        assert np.array_equal(src, ref_src)
+        assert np.array_equal(img, ref_src)  # the source crop is the image itself
         assert np.array_equal(trg, ref_trg)
 
     @pytest.mark.parametrize("family", ["affine", "tps"])

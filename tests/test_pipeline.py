@@ -13,7 +13,6 @@ from oacnet.pipeline import (
     batch_loss_and_grads,
     build_corpus,
     build_provider,
-    generate_pair,
     import_feature_map,
     make_procedural_image,
     train,
@@ -171,23 +170,39 @@ class TestProceduralCorpus:
         with pytest.raises(storage.StorageError, match=r"b\.ppm: image shape \(3, 16, 16\)"):
             build_corpus(config, np.random.default_rng(0))
 
+    def test_single_image_directory_rejected(self, tmp_path):
+        # training holds out one image at least, so one image leaves none to train on
+        storage.save_image(str(tmp_path / "a.pgm"), np.zeros((1, 16, 16)))
+        config = small_config(corpus_dir=str(tmp_path), image_size=16, image_channels=1)
+        with pytest.raises(storage.StorageError, match=rf"^{re.escape(str(tmp_path))}: 1 "
+                                                       r"P5/P6 image\(s\) found, training "
+                                                       r"needs 2 or more: it holds out"):
+            build_corpus(config, np.random.default_rng(0))
+
     def test_empty_directory_rejected(self, tmp_path):
         config = small_config(corpus_dir=str(tmp_path))
         with pytest.raises(storage.StorageError):
             build_corpus(config, np.random.default_rng(0))
 
 
+def crop_pairs(images, family, rng):
+    """build_pairs with the identity as provider: (source, target, theta_gt) crops."""
+    return pipeline.build_pairs(images, lambda crop: crop, small_config(family=family), rng)
+
+
 class TestGeneratePair:
+    """Pairs as build_pairs makes them; a 32-px image's default pad is 8."""
+
     def test_identity_transform_source_equals_target(self):
         rng = np.random.default_rng(0)
         image = make_procedural_image(rng, 32, 3)
-        src, trg = geometry.mirror_pad_center_crop(image, 8, geometry.identity_vector("affine"))
-        assert np.array_equal(src, trg)
+        trg = geometry.mirror_pad_center_crop(image, 8, geometry.identity_vector("affine"))
+        assert np.array_equal(image, trg)
 
     def test_fixed_seed_reproducible(self):
         image = make_procedural_image(np.random.default_rng(1), 32, 3)
-        a = generate_pair(image, "affine", 8, np.random.default_rng(5))
-        b = generate_pair(image, "affine", 8, np.random.default_rng(5))
+        [a] = crop_pairs([image], "affine", np.random.default_rng(5))
+        [b] = crop_pairs([image], "affine", np.random.default_rng(5))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2], b[2])
@@ -195,7 +210,7 @@ class TestGeneratePair:
     def test_crops_share_shape(self):
         image = make_procedural_image(np.random.default_rng(2), 32, 3)
         for family in ("affine", "tps"):
-            source, target, theta_gt = generate_pair(image, family, 8, np.random.default_rng(3))
+            [(source, target, theta_gt)] = crop_pairs([image], family, np.random.default_rng(3))
             assert source.shape == target.shape
             assert theta_gt.shape == geometry.identity_vector(family).shape
 
@@ -206,10 +221,26 @@ class TestGeneratePair:
         grid = geometry.make_regular_grid(20)
         ident = geometry.identity_vector("affine")[None]
         vals = []
-        for _ in range(1000):
-            _, _, theta_gt = generate_pair(image, "affine", 8, rng)
+        for _, _, theta_gt in crop_pairs([image] * 1000, "affine", rng):
             vals.append(geometry.tgd(ident, theta_gt[None], grid)[0][0])
         assert min(vals) > 0.0
+
+    def test_pad_grows_to_the_border_reach_and_stays_below_the_side(self, monkeypatch):
+        image = make_procedural_image(np.random.default_rng(4), 32, 3)
+        # a shift of 0.7 crop half-widths reaches 0.7 * 31 / 2 = 10.85 px past
+        # the border: the quarter pad 8 grows to 12
+        theta = np.array([1, 0, 0.7, 0, 1, 0.0])
+        monkeypatch.setattr(geometry, "sample_random_transform", lambda *a, **k: theta)
+        [(source, target, theta_gt)] = crop_pairs([image], "affine", np.random.default_rng(0))
+        assert source is image and theta_gt is theta
+        with pytest.raises(ValueError, match="pad 8 too small"):
+            geometry.mirror_pad_center_crop(image, 8, theta)
+        assert target.tobytes() == geometry.mirror_pad_center_crop(image, 12, theta).tobytes()
+        # a shift of 2.1 half-widths needs 34 px, more than the side - 1 = 31
+        theta = np.array([1, 0, 2.1, 0, 1, 0.0])
+        monkeypatch.setattr(geometry, "sample_random_transform", lambda *a, **k: theta)
+        with pytest.raises(ValueError, match="pad 31 too small"):
+            crop_pairs([image], "affine", np.random.default_rng(0))
 
 
 class TestMakeBatch:
@@ -431,8 +462,8 @@ class TestEvaluate:
         batch = []
         for _ in range(n):
             image = make_procedural_image(rng, config.image_size, config.image_channels)
-            src, trg = geometry.mirror_pad_center_crop(image, 8, ident)
-            batch.append((provider(src), provider(trg), ident))
+            trg = geometry.mirror_pad_center_crop(image, 8, ident)
+            batch.append((provider(image), provider(trg), ident))
         return batch
 
     def test_identity_model_on_identity_pairs_zero_tgd(self):
