@@ -78,11 +78,10 @@ def cmd_train(args):
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     publish = _outputs("--out-dir", args.out_dir, directory=True)
-    _print_config(vars(config))
-    print(f"seed: {config.seed}")
     try:
         model, history, val_batch = pipeline.train(
-            config, log_fn=lambda s, l: print(f"step {s}: loss {l:.6f}")
+            config, log_fn=lambda s, l: print(f"step {s}: loss {l:.6f}"),
+            ready_fn=lambda: (_print_config(vars(config)), print(f"seed: {config.seed}")),
         )
     except pipeline.DivergenceError as e:
         print(f"divergence guard tripped: {e}", file=sys.stderr)

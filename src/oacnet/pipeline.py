@@ -217,8 +217,9 @@ def batch_loss_and_grads(model, batch, loss_grid, mode="train"):
     return float(losses.mean())
 
 
-def train(config: TrainConfig, log_fn=None):
-    """Run the self-supervised loop; returns (model, history, val_batch)."""
+def train(config: TrainConfig, log_fn=None, ready_fn=lambda: None):
+    """Run the self-supervised loop; returns (model, history, val_batch).
+    ready_fn() runs once the corpus, provider and model are built."""
     rng = np.random.default_rng(config.seed)
     corpus = build_corpus(config, rng)
     # held-out split by index partition: last 10% of the corpus is validation
@@ -229,6 +230,7 @@ def train(config: TrainConfig, log_fn=None):
     model = AttentiveAlignmentModel(config)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loss_grid = geometry.make_regular_grid(20)
+    ready_fn()
 
     history = []
     initial_loss = None

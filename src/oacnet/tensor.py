@@ -7,7 +7,8 @@ included, that numpy's einsum(..., optimize=True) calls for them: results are
 bit-equal to that formulation, without its path planning on every call. The
 one exception is a conv that runs Winograd F(3x3, kxk) because it issues fewer
 multiplies than im2col there (see the convolution section); it rounds
-differently, up to about 1e-13 relative.
+differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU holds
+the kernel transform, so a one-pair paper-scale forward runs Winograd too.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
@@ -36,12 +37,15 @@ def assert_finite(arr, what="tensor"):
 
 
 class Parameter:
-    """A trainable value with a same-shape gradient accumulator."""
+    """A trainable value with a same-shape gradient accumulator. `version` counts
+    in-place writes of `value`, so that what is derived from it can tell it is
+    stale: Adam.step and model loading bump it, and so must any other."""
 
     def __init__(self, value, name=""):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
+        self.version = 0
 
     @property
     def shape(self):
@@ -93,23 +97,24 @@ def l2_normalize_channels(x):
 # window, or Winograd minimal filtering F(3x3, kxk) (Lavin & Gray, "Fast
 # Algorithms for Convolutional Neural Networks", arXiv:1509.09308), which gets
 # each 3x3 output tile from its (k+2)x(k+2) input tile through fixed linear
-# transforms of the tile, the kernel and their elementwise product.
+# transforms of the tile, the kernel and their elementwise product. A caller
+# holding the kernel transform passes a getter, and the count leaves it out.
 
 WINOGRAD_TILE = 3  # output tile side m of F(m x m, k x k)
 # Toom-Cook points, taken in this order: the first k + 2 serve a k x k kernel
 WINOGRAD_POINTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
 
 
-def conv2d_multiplies(B, cin, cout, k, Ho, Wo):
+def conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel_held=False):
     """Multiplies a forward issues, as (im2col, Winograd). Winograd's are those
     of its input, kernel, elementwise and output stages, over an output padded
-    up to whole tiles."""
+    up to whole tiles; the kernel stage is left out when the caller holds it."""
     m = WINOGRAD_TILE
     tiles = B * -(-Ho // m) * -(-Wo // m)
     a2 = (k + m - 1) ** 2
     im2col = B * Ho * Wo * cout * cin * k * k
-    winograd = a2 * (a2 * cin * tiles + k * k * cout * cin + cout * cin * tiles
-                     + m * m * cout * tiles)
+    kernel = 0 if kernel_held else k * k * cout * cin
+    winograd = a2 * (a2 * cin * tiles + kernel + cout * cin * tiles + m * m * cout * tiles)
     return im2col, winograd
 
 
@@ -143,8 +148,9 @@ def _winograd_transforms(k):
     return mats
 
 
-def conv2d_forward(x, w, b):
-    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv."""
+def conv2d_forward(x, w, b, kernel=None):
+    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. kernel, if given,
+    returns winograd_kernel(w); it is called only if the conv runs Winograd."""
     B, cin, H, W = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
@@ -155,9 +161,9 @@ def conv2d_forward(x, w, b):
     Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
-    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo)
+    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel is not None)
     if winograd < im2col and k + WINOGRAD_TILE - 1 <= len(WINOGRAD_POINTS):
-        return winograd_conv2d_forward(x, w, b)
+        return winograd_conv2d_forward(x, w, b, kernel() if kernel else None)
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
     # (Cout, Cin*k*k) @ (Cin*k*k, B*Ho*Wo)
     cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, B * Ho * Wo)
@@ -169,14 +175,20 @@ def conv2d_forward(x, w, b):
     return out, (x, w, cols if k > 1 else None)
 
 
-def winograd_conv2d_forward(x, w, b):
+def winograd_kernel(w):
+    """The kernel transform U = (G (x) G) w of F(3x3, kxk), (a*a, Cout, Cin)."""
+    cout, cin, k, _ = w.shape
+    return (_winograd_transforms(k)[1] @ w.reshape(cout * cin, k * k).T).reshape(-1, cout, cin)
+
+
+def winograd_conv2d_forward(x, w, b, U=None):
     """conv2d_forward by Winograd F(3x3, kxk), for shapes conv2d_forward checked.
 
     Tiles are indexed (B, tile row, tile column). Each stage is one GEMM:
-    V = (Bt (x) Bt) tiles and U = (G (x) G) w, then M = U @ V as one
-    (Cout, Cin) @ (Cin, tiles) product per tile entry, and Y = (At (x) At) M.
-    The cache keeps U and V; an output side that is not a multiple of 3 is
-    computed on a zero-padded input and cropped.
+    V = (Bt (x) Bt) tiles and U = (G (x) G) w (winograd_kernel, unless given),
+    then M = U @ V as one (Cout, Cin) @ (Cin, tiles) product per tile entry, and
+    Y = (At (x) At) M. The cache keeps U and V; an output side that is not a
+    multiple of 3 is computed on a zero-padded input and cropped.
     """
     B, cin, H, W = x.shape
     cout, _, k, _ = w.shape
@@ -184,7 +196,7 @@ def winograd_conv2d_forward(x, w, b):
     m = WINOGRAD_TILE
     a = k + m - 1
     th, tw = -(-Ho // m), -(-Wo // m)
-    BB, GG, AA = _winograd_transforms(k)
+    BB, _, AA = _winograd_transforms(k)
     xp = x
     if (m * th, m * tw) != (Ho, Wo):
         xp = np.pad(x, ((0, 0), (0, 0), (0, m * th - Ho), (0, m * tw - Wo)))
@@ -192,7 +204,8 @@ def winograd_conv2d_forward(x, w, b):
     tiles = as_strided(xp, (a, a, cin, B, th, tw), (sh, sw, sc, sb, m * sh, m * sw),
                        writeable=False)
     V = (BB @ tiles.reshape(a * a, -1)).reshape(a * a, cin, -1)
-    U = (GG @ w.reshape(cout * cin, k * k).T).reshape(a * a, cout, cin)
+    if U is None:
+        U = winograd_kernel(w)
     Y = AA @ (U @ V).reshape(a * a, -1)
     # (m, m, Cout, B, th, tw) -> (Cout, B, m*th, m*tw): im2col's memory layout
     full = Y.reshape(m, m, cout, B, th, tw).transpose(2, 3, 4, 0, 5, 1)
@@ -388,5 +401,6 @@ class Adam:
             step *= self.lr
             step /= denom
             p.value -= step
+            p.version += 1
             assert_finite(p.value, f"parameter {p.name} after ADAM step")
             p.zero_grad()

@@ -113,8 +113,32 @@ class TestTrainCommand:
         # allocation at once, and main reports it in one line
         config = write_config(tmp_path / "wide.cfg", encoder_channels="1000000000000")
         assert main(["train", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
-        assert_one_line_error(capsys, "error: out of memory: Unable to allocate")
+        assert assert_one_line_error(capsys, "error: out of memory: Unable to allocate") == ""
         assert [p.name for p in tmp_path.iterdir()] == ["wide.cfg"]
+
+    @pytest.mark.parametrize("images,fragment", [
+        ({"a.pgm": np.zeros((1, 32, 32))}, "1 P5/P6 image(s) found, training needs 2 or more"),
+        ({"a.pgm": np.zeros((1, 32, 32)), "b.pgm": b"P5\n32 32\n255\n\0\0"},
+         "pixel data: expected 1024 bytes, got 2"),
+        ({"a.pgm": np.zeros((1, 32, 32)), "b.ppm": np.zeros((3, 32, 32))},
+         "image shape (3, 32, 32), expected"),
+    ], ids=["one-image", "truncated-pgm", "channel-count"])
+    def test_corpus_refusal_exits_1_before_output(self, images, fragment, tmp_path, capsys):
+        corpus = tmp_path / "imgs"
+        corpus.mkdir()
+        for name, image in images.items():
+            if isinstance(image, bytes):
+                (corpus / name).write_bytes(image)
+            else:
+                storage.save_image(str(corpus / name), image)
+        keys = {k: v for k, v in SMALL_CONFIG.items() if k != "corpus_size"}
+        config = tmp_path / "c.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in dict(
+            keys, corpus_dir=corpus, image_channels=1).items()))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert assert_one_line_error(capsys, fragment) == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides,fragment", [
         ({"family": "bogus"}, "unknown family 'bogus'"),
@@ -261,7 +285,7 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_divergence_guard_exits_2(self, tmp_path, capsys, monkeypatch):
-        def explode(config, log_fn=None):
+        def explode(config, log_fn=None, ready_fn=None):
             raise pipeline.DivergenceError("boom")
 
         monkeypatch.setattr(pipeline, "train", explode)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oacnet import correlation, geometry, pipeline, storage
+from oacnet import correlation, geometry, network, pipeline, storage, tensor
 from oacnet.network import AttentiveAlignmentModel, ModelConfig
 from oacnet.tensor import (
     Adam,
@@ -378,6 +378,100 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
+def winograd_config(**overrides):
+    # 32 -> 32 channels on a 9x9 map, one 3x3 output tile per pair: a one-pair
+    # eval forward counts 316,224 Winograd multiplies with the kernel transform
+    # held against im2col's 451,584, so it runs Winograd as paper scale does
+    return tiny_config(D=8, H=9, W=9, N=32, encoder_channels=32, **overrides)
+
+
+def same_weights(model):
+    """A freshly built model holding `model`'s parameters and batch-norm statistics."""
+    fresh = AttentiveAlignmentModel(model.config)
+    for p, q in zip(model.parameters(), fresh.parameters()):
+        q.value[...] = p.value
+    for (bn, stat, _), (fresh_bn, _, _) in zip(model._bn_stats(), fresh._bn_stats()):
+        setattr(fresh_bn, stat, getattr(bn, stat))
+    return fresh
+
+
+class TestWinogradKernelCache:
+    def _changed(self, model, change, tmp_path):
+        """model after one change of its weights, the way `change` names."""
+        if change == "adam-step":
+            f_src, f_trg = random_features(model.config, B=2, seed=31)
+            model.forward_features(f_src, f_trg, mode="train")
+            model.backward(np.ones((2, model.config.Q)))
+            Adam(model.parameters(), lr=1e-2).step()
+        elif change == "load":
+            trained = same_weights(model)
+            trained.encoder.w.value += 0.01
+            trained.save(str(tmp_path / "ckpt"))
+            model, _ = AttentiveAlignmentModel.load(str(tmp_path / "ckpt"))
+            assert all(p.version == 1 for p in model.parameters())
+        else:  # rebinding the value to a new array needs no version bump
+            model.encoder.w.value = model.encoder.w.value * 1.5
+        return model
+
+    @pytest.mark.parametrize("change", ["adam-step", "load", "rebind"])
+    def test_eval_after_a_weight_change_equals_a_fresh_model(self, change, tmp_path):
+        model = warmed_model(winograd_config(), seed=30)
+        rng = np.random.default_rng(30)
+        model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
+        f_src, f_trg = random_features(model.config, B=1, seed=32)
+        before, _ = model.forward_features(f_src, f_trg, mode="eval")  # fills the cache
+        model = self._changed(model, change, tmp_path)
+        got, state = model.forward_features(f_src, f_trg, mode="eval")
+        want, fresh_state = same_weights(model).forward_features(f_src, f_trg, mode="eval")
+        assert got.tobytes() == want.tobytes() and state.F.tobytes() == fresh_state.F.tobytes()
+        assert not np.array_equal(got, before)
+
+    def test_repeated_eval_forwards_compute_the_kernel_once(self, monkeypatch):
+        model = warmed_model(winograd_config(), seed=33)
+        calls = []
+        kernel = network.winograd_kernel
+        monkeypatch.setattr(network, "winograd_kernel",
+                            lambda w: calls.append(w.shape) or kernel(w))
+        for B in (1, 1, 4, 1):
+            model.forward_features(*random_features(model.config, B=B, seed=B), mode="eval")
+        assert calls == [model.encoder.w.shape]  # the 1x1 layers run im2col
+        model.forward_features(*random_features(model.config, B=2, seed=34), mode="train")
+        model.backward(np.ones((2, model.config.Q)))
+        Adam(model.parameters()).step()
+        model.forward_features(*random_features(model.config, B=1, seed=35), mode="eval")
+        model.forward_features(*random_features(model.config, B=1, seed=36), mode="eval")
+        assert len(calls) == 2
+
+    def test_train_forward_neither_reads_nor_fills_the_cache(self):
+        model = warmed_model(winograd_config(), seed=37)
+        reference = same_weights(model)
+        w = model.encoder.w
+        poison = (w.value, w.version, np.full_like(tensor.winograd_kernel(w.value), np.nan))
+        model.encoder._kernel = poison
+        f_src, f_trg = random_features(model.config, B=2, seed=38)
+        got, _ = model.forward_features(f_src, f_trg, mode="train")
+        want, _ = reference.forward_features(f_src, f_trg, mode="train")
+        assert got.tobytes() == want.tobytes()
+        assert model.encoder._kernel is poison
+        assert reference.encoder._kernel == (None, None, None)
+
+    def test_one_pair_paper_scale_eval_matches_im2col(self, monkeypatch):
+        model = warmed_model(ModelConfig(), seed=39)
+        rng = np.random.default_rng(39)
+        model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
+        f_src, f_trg = random_features(model.config, B=1, seed=40)
+        _, (conv_cache, _, _) = model.encoder.forward(
+            np.ones((1, 128, 15, 15)), mode="eval")
+        assert len(conv_cache) == 4  # (x, w, U, V): Winograd
+        got, state = model.forward_features(f_src, f_trg, mode="eval")
+        # the same forward with no kernel transform held: im2col at B=1
+        conv = network.conv2d_forward
+        monkeypatch.setattr(network, "conv2d_forward", lambda x, w, b, kernel=None: conv(x, w, b))
+        want, im2col_state = model.forward_features(f_src, f_trg, mode="eval")
+        for a, ref in ((state.F, im2col_state.F), (got, want)):
+            assert np.abs(a - ref).max() / np.abs(ref).max() <= 1e-12
 
 
 class TestCheckpointing:

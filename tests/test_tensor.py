@@ -214,6 +214,38 @@ class TestConv2d:
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
         assert len(calls) == int(uses_winograd) and len(cache) == 3 + int(uses_winograd)
 
+    @pytest.mark.parametrize("B,cin,cout,H,k,im2col,winograd,uses_winograd", [
+        (8, 128, 128, 15, 7, 520_224_768, 162_736_128, True),  # paper B=8 eval
+        (1, 128, 128, 15, 7, 65_028_096, 20_342_016, True),  # paper_eval step
+        (16, 48, 32, 8, 7, 4_816_896, 7_402_752, False),  # desk eval
+        (1, 133, 128, 9, 1, 1_378_944, 1_569_213, False),  # paper G branch
+        (16, 37, 32, 2, 1, 75_776, 259_920, False),  # desk G branch
+    ])
+    def test_algorithm_chosen_with_kernel_held(self, B, cin, cout, H, k, im2col, winograd,
+                                               uses_winograd, monkeypatch):
+        # a caller holding the kernel transform leaves its stage out of the
+        # count, and the getter runs only once Winograd is chosen
+        assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1,
+                                 kernel_held=True) == (im2col, winograd)
+        rng = np.random.default_rng(B + cin + k)
+        x = rng.standard_normal((B, cin, H, H))
+        w = rng.standard_normal((cout, cin, k, k))
+        got = []
+        kernel_calls = []
+        winograd_forward = tensor.winograd_conv2d_forward
+        monkeypatch.setattr(tensor, "winograd_conv2d_forward",
+                            lambda *args: got.append(args[3]) or winograd_forward(*args))
+        out, cache = conv2d_forward(
+            x, w, np.zeros(cout),
+            lambda: kernel_calls.append(1) or tensor.winograd_kernel(w))
+        assert out.shape == (B, cout, H - k + 1, H - k + 1)
+        assert len(kernel_calls) == len(got) == int(uses_winograd)
+        assert len(cache) == 3 + int(uses_winograd)
+        if uses_winograd:
+            assert got[0].tobytes() == tensor.winograd_kernel(w).tobytes()
+            plain, _ = winograd_forward(x, w, np.zeros(cout))
+            assert out.tobytes() == plain.tobytes()
+
     def test_winograd_gradients(self):
         # B=4, 32 -> 32, 15x15: 15,448,320 Winograd multiplies against 16,257,024
         rng = np.random.default_rng(17)
