@@ -86,28 +86,31 @@ class ModelConfig(storage.ConfigCodec):
 
 class ConvBNReLU:
     """Valid k x k conv, batch norm and ReLU, with parameters `name`.w/.b/.bn.
-    An eval-mode forward keeps the conv's Winograd kernel transform, if it runs
-    Winograd, with the weight array and `version` it came from, and reuses it
-    until either changes. A train-mode forward neither reads nor fills it."""
+    An eval forward that runs Winograd keeps the conv's kernel transform with the
+    weight array and `version` it came from; while both hold, eval forwards count
+    it as held, so one pair can run Winograd too. Train forwards never touch it."""
 
     def __init__(self, rng, name, cin, cout, k=1):
         self.w = Parameter(he_uniform(rng, (cout, cin, k, k), cin * k * k), f"{name}.w")
         self.b = Parameter(np.zeros(cout), f"{name}.b")
         self.bn = BatchNorm(cout, prefix=f"{name}.bn")
-        self._kernel = (None, None, None)  # (w.value, w.version, its transform)
+        self._kernel = (None, None, None)  # (w.value, w.version, U); `is`, never id()
 
     def parameters(self):
         return [self.w, self.b] + self.bn.parameters()
 
+    def _kernel_held(self):
+        return self._kernel[0] is self.w.value and self._kernel[1] == self.w.version
+
     def _winograd_kernel(self):
-        w = self.w  # `is` on a held reference, as a freed array's id() can be reused
-        if self._kernel[0] is not w.value or self._kernel[1] != w.version:
-            self._kernel = (w.value, w.version, winograd_kernel(w.value))
+        if not self._kernel_held():
+            self._kernel = (self.w.value, self.w.version, winograd_kernel(self.w.value))
         return self._kernel[2]
 
     def forward(self, x, mode):
         kernel = self._winograd_kernel if mode == "eval" else None
-        z, conv_cache = conv2d_forward(x, self.w.value, self.b.value, kernel)
+        z, conv_cache = conv2d_forward(x, self.w.value, self.b.value, kernel,
+                                       kernel is not None and self._kernel_held())
         zn, bn_cache = self.bn.forward(z, mode)
         out, relu_cache = relu_forward(zn)
         return out, (conv_cache, bn_cache, relu_cache)
@@ -298,7 +301,6 @@ class AttentiveAlignmentModel:
             dirpath, {name: arr.shape for name, arr in model.state_tensors().items()})
         for p in model.parameters():
             p.value[...] = tensors[p.name]
-            p.version += 1
         for bn, stat, name in model._bn_stats():
             setattr(bn, stat, int(tensors[name]) if stat == "num_updates" else tensors[name])
         return model, config

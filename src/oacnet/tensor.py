@@ -7,8 +7,8 @@ included, that numpy's einsum(..., optimize=True) calls for them: results are
 bit-equal to that formulation, without its path planning on every call. The
 one exception is a conv that runs Winograd F(3x3, kxk) because it issues fewer
 multiplies than im2col there (see the convolution section); it rounds
-differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU holds
-the kernel transform, so a one-pair paper-scale forward runs Winograd too.
+differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU keeps
+the kernel transform once it ran Winograd, so its later one-pair forwards do too.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
@@ -38,8 +38,8 @@ def assert_finite(arr, what="tensor"):
 
 class Parameter:
     """A trainable value with a same-shape gradient accumulator. `version` counts
-    in-place writes of `value`, so that what is derived from it can tell it is
-    stale: Adam.step and model loading bump it, and so must any other."""
+    in-place writes of `value`, so what is derived from it can tell it is stale:
+    Adam.step, the library's one in-place writer, bumps it, as must any other."""
 
     def __init__(self, value, name=""):
         self.value = np.asarray(value, dtype=np.float64)
@@ -98,7 +98,7 @@ def l2_normalize_channels(x):
 # Algorithms for Convolutional Neural Networks", arXiv:1509.09308), which gets
 # each 3x3 output tile from its (k+2)x(k+2) input tile through fixed linear
 # transforms of the tile, the kernel and their elementwise product. A caller
-# holding the kernel transform passes a getter, and the count leaves it out.
+# that already holds the kernel transform says so, and the count leaves it out.
 
 WINOGRAD_TILE = 3  # output tile side m of F(m x m, k x k)
 # Toom-Cook points, taken in this order: the first k + 2 serve a k x k kernel
@@ -148,9 +148,9 @@ def _winograd_transforms(k):
     return mats
 
 
-def conv2d_forward(x, w, b, kernel=None):
-    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. kernel, if given,
-    returns winograd_kernel(w); it is called only if the conv runs Winograd."""
+def conv2d_forward(x, w, b, kernel=None, kernel_held=False):
+    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. kernel(), called only
+    if it runs Winograd, returns winograd_kernel(w): one already held if kernel_held."""
     B, cin, H, W = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
@@ -161,7 +161,7 @@ def conv2d_forward(x, w, b, kernel=None):
     Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
-    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel is not None)
+    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel_held)
     if winograd < im2col and k + WINOGRAD_TILE - 1 <= len(WINOGRAD_POINTS):
         return winograd_conv2d_forward(x, w, b, kernel() if kernel else None)
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
@@ -204,8 +204,7 @@ def winograd_conv2d_forward(x, w, b, U=None):
     tiles = as_strided(xp, (a, a, cin, B, th, tw), (sh, sw, sc, sb, m * sh, m * sw),
                        writeable=False)
     V = (BB @ tiles.reshape(a * a, -1)).reshape(a * a, cin, -1)
-    if U is None:
-        U = winograd_kernel(w)
+    U = winograd_kernel(w) if U is None else U
     Y = AA @ (U @ V).reshape(a * a, -1)
     # (m, m, Cout, B, th, tw) -> (Cout, B, m*th, m*tw): im2col's memory layout
     full = Y.reshape(m, m, cout, B, th, tw).transpose(2, 3, 4, 0, 5, 1)

@@ -381,10 +381,13 @@ class TestBackward:
 
 
 def winograd_config(**overrides):
-    # 32 -> 32 channels on a 9x9 map, one 3x3 output tile per pair: a one-pair
-    # eval forward counts 316,224 Winograd multiplies with the kernel transform
-    # held against im2col's 451,584, so it runs Winograd as paper scale does
-    return tiny_config(D=8, H=9, W=9, N=32, encoder_channels=32, **overrides)
+    # 32 -> 32 channels on a 15x15 map, nine 3x3 output tiles per pair. Its
+    # kernel transform costs 4,064,256 multiplies, which a cold eval forward
+    # counts: one pair runs im2col (6,910,272 Winograd against 4,064,256) and
+    # four pairs run Winograd (15,448,320 against 16,257,024), filling the
+    # cache. Once it is held, one pair runs Winograd (2,846,016 against
+    # 4,064,256), as paper scale does
+    return tiny_config(D=8, H=15, W=15, N=32, encoder_channels=32, **overrides)
 
 
 def same_weights(model):
@@ -395,6 +398,12 @@ def same_weights(model):
     for (bn, stat, _), (fresh_bn, _, _) in zip(model._bn_stats(), fresh._bn_stats()):
         setattr(fresh_bn, stat, getattr(bn, stat))
     return fresh
+
+
+def runs_winograd(model, x):
+    """Whether the model's encoder conv runs Winograd on x in eval mode."""
+    _, (conv_cache, _, _) = model.encoder.forward(x, mode="eval")
+    return len(conv_cache) == 4  # (x, w, U, V), against im2col's (x, w, cols)
 
 
 class TestWinogradKernelCache:
@@ -410,7 +419,6 @@ class TestWinogradKernelCache:
             trained.encoder.w.value += 0.01
             trained.save(str(tmp_path / "ckpt"))
             model, _ = AttentiveAlignmentModel.load(str(tmp_path / "ckpt"))
-            assert all(p.version == 1 for p in model.parameters())
         else:  # rebinding the value to a new array needs no version bump
             model.encoder.w.value = model.encoder.w.value * 1.5
         return model
@@ -420,12 +428,18 @@ class TestWinogradKernelCache:
         model = warmed_model(winograd_config(), seed=30)
         rng = np.random.default_rng(30)
         model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
-        f_src, f_trg = random_features(model.config, B=1, seed=32)
-        before, _ = model.forward_features(f_src, f_trg, mode="eval")  # fills the cache
+        f_src, f_trg = random_features(model.config, B=4, seed=32)
+        model.forward_features(f_src, f_trg, mode="eval")  # fills the cache
+        before, _ = model.forward_features(f_src[:1], f_trg[:1], mode="eval")
         model = self._changed(model, change, tmp_path)
-        got, state = model.forward_features(f_src, f_trg, mode="eval")
-        want, fresh_state = same_weights(model).forward_features(f_src, f_trg, mode="eval")
-        assert got.tobytes() == want.tobytes() and state.F.tobytes() == fresh_state.F.tobytes()
+        fresh = same_weights(model)
+        # a one-pair forward, cold on both, then four pairs and one pair again,
+        # the last with the kernel transform held on both
+        for B in (1, 4, 1):
+            got, state = model.forward_features(f_src[:B], f_trg[:B], mode="eval")
+            want, fresh_state = fresh.forward_features(f_src[:B], f_trg[:B], mode="eval")
+            assert got.tobytes() == want.tobytes()
+            assert state.F.tobytes() == fresh_state.F.tobytes()
         assert not np.array_equal(got, before)
 
     def test_repeated_eval_forwards_compute_the_kernel_once(self, monkeypatch):
@@ -434,15 +448,17 @@ class TestWinogradKernelCache:
         kernel = network.winograd_kernel
         monkeypatch.setattr(network, "winograd_kernel",
                             lambda w: calls.append(w.shape) or kernel(w))
-        for B in (1, 1, 4, 1):
+        h = np.ones((4, model.config.N, model.config.H, model.config.W))
+        assert not runs_winograd(model, h[:1]) and calls == []  # cold: im2col
+        for B in (4, 1, 1, 4, 1):
             model.forward_features(*random_features(model.config, B=B, seed=B), mode="eval")
         assert calls == [model.encoder.w.shape]  # the 1x1 layers run im2col
+        assert runs_winograd(model, h[:1]) and len(calls) == 1
         model.forward_features(*random_features(model.config, B=2, seed=34), mode="train")
         model.backward(np.ones((2, model.config.Q)))
         Adam(model.parameters()).step()
-        model.forward_features(*random_features(model.config, B=1, seed=35), mode="eval")
-        model.forward_features(*random_features(model.config, B=1, seed=36), mode="eval")
-        assert len(calls) == 2
+        assert not runs_winograd(model, h[:1]) and len(calls) == 1  # stale: cold again
+        assert runs_winograd(model, h) and runs_winograd(model, h[:1]) and len(calls) == 2
 
     def test_train_forward_neither_reads_nor_fills_the_cache(self):
         model = warmed_model(winograd_config(), seed=37)
@@ -450,7 +466,7 @@ class TestWinogradKernelCache:
         w = model.encoder.w
         poison = (w.value, w.version, np.full_like(tensor.winograd_kernel(w.value), np.nan))
         model.encoder._kernel = poison
-        f_src, f_trg = random_features(model.config, B=2, seed=38)
+        f_src, f_trg = random_features(model.config, B=4, seed=38)
         got, _ = model.forward_features(f_src, f_trg, mode="train")
         want, _ = reference.forward_features(f_src, f_trg, mode="train")
         assert got.tobytes() == want.tobytes()
@@ -462,14 +478,18 @@ class TestWinogradKernelCache:
         rng = np.random.default_rng(39)
         model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
         f_src, f_trg = random_features(model.config, B=1, seed=40)
-        _, (conv_cache, _, _) = model.encoder.forward(
-            np.ones((1, 128, 15, 15)), mode="eval")
-        assert len(conv_cache) == 4  # (x, w, U, V): Winograd
+        h = np.ones((2, 128, 15, 15))
+        assert not runs_winograd(model, h[:1])  # cold: 85,370,112 against 65,028,096
+        cold, cold_state = model.forward_features(f_src, f_trg, mode="eval")
+        assert runs_winograd(model, h)  # two pairs fill the cache
         got, state = model.forward_features(f_src, f_trg, mode="eval")
+        assert runs_winograd(model, h[:1])  # held: 20,342,016 against 65,028,096
         # the same forward with no kernel transform held: im2col at B=1
         conv = network.conv2d_forward
-        monkeypatch.setattr(network, "conv2d_forward", lambda x, w, b, kernel=None: conv(x, w, b))
+        monkeypatch.setattr(network, "conv2d_forward", lambda x, w, b, *_: conv(x, w, b))
         want, im2col_state = model.forward_features(f_src, f_trg, mode="eval")
+        assert cold.tobytes() == want.tobytes()
+        assert cold_state.F.tobytes() == im2col_state.F.tobytes()
         for a, ref in ((state.F, im2col_state.F), (got, want)):
             assert np.abs(a - ref).max() / np.abs(ref).max() <= 1e-12
 

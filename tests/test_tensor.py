@@ -214,19 +214,23 @@ class TestConv2d:
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
         assert len(calls) == int(uses_winograd) and len(cache) == 3 + int(uses_winograd)
 
-    @pytest.mark.parametrize("B,cin,cout,H,k,im2col,winograd,uses_winograd", [
-        (8, 128, 128, 15, 7, 520_224_768, 162_736_128, True),  # paper B=8 eval
-        (1, 128, 128, 15, 7, 65_028_096, 20_342_016, True),  # paper_eval step
-        (16, 48, 32, 8, 7, 4_816_896, 7_402_752, False),  # desk eval
-        (1, 133, 128, 9, 1, 1_378_944, 1_569_213, False),  # paper G branch
-        (16, 37, 32, 2, 1, 75_776, 259_920, False),  # desk G branch
+    @pytest.mark.parametrize("held,B,cin,cout,H,k,im2col,winograd,uses_winograd", [
+        (True, 8, 128, 128, 15, 7, 520_224_768, 162_736_128, True),  # paper B=8 eval
+        (True, 1, 128, 128, 15, 7, 65_028_096, 20_342_016, True),  # paper_eval step
+        (True, 16, 48, 32, 8, 7, 4_816_896, 7_402_752, False),  # desk eval
+        (True, 1, 133, 128, 9, 1, 1_378_944, 1_569_213, False),  # paper G branch
+        (True, 16, 37, 32, 2, 1, 75_776, 259_920, False),  # desk G branch
+        # a getter with nothing held yet: a cold one-pair forward stays im2col,
+        # and the paper B=8 eval that fills the cache runs Winograd
+        (False, 1, 128, 128, 15, 7, 65_028_096, 85_370_112, False),
+        (False, 8, 128, 128, 15, 7, 520_224_768, 227_764_224, True),
     ])
-    def test_algorithm_chosen_with_kernel_held(self, B, cin, cout, H, k, im2col, winograd,
-                                               uses_winograd, monkeypatch):
-        # a caller holding the kernel transform leaves its stage out of the
-        # count, and the getter runs only once Winograd is chosen
+    def test_algorithm_chosen_with_a_kernel_getter(self, held, B, cin, cout, H, k, im2col,
+                                                   winograd, uses_winograd, monkeypatch):
+        # the count leaves the kernel stage out only when the caller holds it,
+        # and the getter runs only once Winograd is chosen
         assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1,
-                                 kernel_held=True) == (im2col, winograd)
+                                 kernel_held=held) == (im2col, winograd)
         rng = np.random.default_rng(B + cin + k)
         x = rng.standard_normal((B, cin, H, H))
         w = rng.standard_normal((cout, cin, k, k))
@@ -237,7 +241,7 @@ class TestConv2d:
                             lambda *args: got.append(args[3]) or winograd_forward(*args))
         out, cache = conv2d_forward(
             x, w, np.zeros(cout),
-            lambda: kernel_calls.append(1) or tensor.winograd_kernel(w))
+            lambda: kernel_calls.append(1) or tensor.winograd_kernel(w), held)
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
         assert len(kernel_calls) == len(got) == int(uses_winograd)
         assert len(cache) == 3 + int(uses_winograd)
