@@ -1,6 +1,6 @@
 """Batch command-line surface.
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric-guard failure.
+Exit codes: 0 success, 1 usage/config error, 2 numeric-guard failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def cmd_pck(args):
     if not (math.isfinite(args.alpha) and args.alpha > 0):
         raise ValueError(f"--alpha must be finite and positive, got {args.alpha}")
     _at_least("--image-size", args.image_size, 2)
+    if args.image_size > 2**53:  # float64 holds every pixel index up to here
+        raise ValueError(f"--image-size must be at most 2**53, got {args.image_size}")
     # every input is read and checked before anything is printed
     theta = (geometry.identity_vector("affine") if args.theta_file is None
              else geometry.theta_vector(storage.load_tensor(args.theta_file)))
@@ -348,6 +350,9 @@ def main(argv=None):
     except (NumericError, pipeline.DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # outputs are published last, so none is left
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .tensor import (
     relu_forward,
     spatial_softmax_backward,
     spatial_softmax_forward,
-    winograd_kernel,
 )
 
 
@@ -86,31 +85,25 @@ class ModelConfig(storage.ConfigCodec):
 
 class ConvBNReLU:
     """Valid k x k conv, batch norm and ReLU, with parameters `name`.w/.b/.bn.
-    An eval forward that runs Winograd keeps the conv's kernel transform with the
-    weight array and `version` it came from; while both hold, eval forwards count
-    it as held, so one pair can run Winograd too. Train forwards never touch it."""
+    An eval forward that runs Winograd keeps its kernel transform U with the weight
+    array and `version` it came from; later eval forwards pass U while both hold, so
+    one pair can run Winograd too. Any other forward drops U: train holds none."""
 
     def __init__(self, rng, name, cin, cout, k=1):
         self.w = Parameter(he_uniform(rng, (cout, cin, k, k), cin * k * k), f"{name}.w")
         self.b = Parameter(np.zeros(cout), f"{name}.b")
         self.bn = BatchNorm(cout, prefix=f"{name}.bn")
-        self._kernel = (None, None, None)  # (w.value, w.version, U); `is`, never id()
+        self._kernel = None  # (w.value, w.version, U); `is`, never id()
 
     def parameters(self):
         return [self.w, self.b] + self.bn.parameters()
 
-    def _kernel_held(self):
-        return self._kernel[0] is self.w.value and self._kernel[1] == self.w.version
-
-    def _winograd_kernel(self):
-        if not self._kernel_held():
-            self._kernel = (self.w.value, self.w.version, winograd_kernel(self.w.value))
-        return self._kernel[2]
-
     def forward(self, x, mode):
-        kernel = self._winograd_kernel if mode == "eval" else None
-        z, conv_cache = conv2d_forward(x, self.w.value, self.b.value, kernel,
-                                       kernel is not None and self._kernel_held())
+        w, held = self.w, self._kernel if mode == "eval" else None
+        U = held[2] if held and held[0] is w.value and held[1] == w.version else None
+        z, conv_cache = conv2d_forward(x, w.value, self.b.value, U)
+        winograd = mode == "eval" and len(conv_cache) == 4  # (x, w, U, V)
+        self._kernel = (w.value, w.version, conv_cache[2]) if winograd else None
         zn, bn_cache = self.bn.forward(z, mode)
         out, relu_cache = relu_forward(zn)
         return out, (conv_cache, bn_cache, relu_cache)

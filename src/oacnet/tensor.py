@@ -7,8 +7,8 @@ included, that numpy's einsum(..., optimize=True) calls for them: results are
 bit-equal to that formulation, without its path planning on every call. The
 one exception is a conv that runs Winograd F(3x3, kxk) because it issues fewer
 multiplies than im2col there (see the convolution section); it rounds
-differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU keeps
-the kernel transform once it ran Winograd, so its later one-pair forwards do too.
+differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU keeps the
+kernel transform its Winograd computed, for later eval forwards; train holds none.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
@@ -98,7 +98,7 @@ def l2_normalize_channels(x):
 # Algorithms for Convolutional Neural Networks", arXiv:1509.09308), which gets
 # each 3x3 output tile from its (k+2)x(k+2) input tile through fixed linear
 # transforms of the tile, the kernel and their elementwise product. A caller
-# that already holds the kernel transform says so, and the count leaves it out.
+# that holds the kernel transform U passes it, and the count leaves it out.
 
 WINOGRAD_TILE = 3  # output tile side m of F(m x m, k x k)
 # Toom-Cook points, taken in this order: the first k + 2 serve a k x k kernel
@@ -148,9 +148,11 @@ def _winograd_transforms(k):
     return mats
 
 
-def conv2d_forward(x, w, b, kernel=None, kernel_held=False):
-    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. kernel(), called only
-    if it runs Winograd, returns winograd_kernel(w): one already held if kernel_held."""
+def conv2d_forward(x, w, b, U=None):
+    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. U, if given, is the
+    caller's winograd_kernel(w) (an eval ConvBNReLU's; train holds none): the count
+    leaves that stage out, and Winograd uses U. The cache is im2col's (x, w, cols)
+    or Winograd's (x, w, U, V); conv2d_backward dispatches on its length."""
     B, cin, H, W = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
@@ -161,9 +163,9 @@ def conv2d_forward(x, w, b, kernel=None, kernel_held=False):
     Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
-    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel_held)
+    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, U is not None)
     if winograd < im2col and k + WINOGRAD_TILE - 1 <= len(WINOGRAD_POINTS):
-        return winograd_conv2d_forward(x, w, b, kernel() if kernel else None)
+        return winograd_conv2d_forward(x, w, b, U)
     cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
     # (Cout, Cin*k*k) @ (Cin*k*k, B*Ho*Wo)
     cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, B * Ho * Wo)

@@ -2,11 +2,15 @@
 and printed reports."""
 
 import math
+import os
 import pathlib
 import re
 import shlex
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -115,6 +119,30 @@ class TestTrainCommand:
         assert main(["train", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
         assert assert_one_line_error(capsys, "error: out of memory: Unable to allocate") == ""
         assert [p.name for p in tmp_path.iterdir()] == ["wide.cfg"]
+
+    def test_sigint_exits_130_in_one_line(self, tmp_path):
+        # a real SIGINT, sent once the loop has printed its first step
+        config = write_config(tmp_path / "long.cfg", total_steps="100000")
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-c", "import sys; from oacnet.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "train", "--config", config,
+             "--out-dir", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            for line in proc.stdout:
+                if line.startswith("step 1:"):
+                    proc.send_signal(signal.SIGINT)
+                    break
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err == "error: interrupted\n"
+        assert "step 100:" not in out  # it stopped early
+        assert [p.name for p in tmp_path.iterdir()] == ["long.cfg"]
 
     @pytest.mark.parametrize("images,fragment", [
         ({"a.pgm": np.zeros((1, 32, 32))}, "1 P5/P6 image(s) found, training needs 2 or more"),
@@ -596,6 +624,14 @@ class TestEvalCommand:
         csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
         assert main(["pck", "--keypoints-csv", csv, "--image-size", size]) == 1
         assert_one_line_error(capsys, "--image-size must be at least 2")
+
+    @pytest.mark.parametrize("size", [str(2**53 + 1), "100000000000000000000"])
+    def test_huge_image_size_exits_1(self, size, tmp_path, capsys):
+        # beyond 2**53 float64 cannot hold every pixel index; beyond 2**64 the
+        # points would turn into an object array
+        csv = write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)])
+        assert main(["pck", "--keypoints-csv", csv, "--image-size", size]) == 1
+        assert assert_one_line_error(capsys, "--image-size must be at most 2**53", size) == ""
 
     @pytest.mark.parametrize("command", ["eval", "warp"])
     def test_nan_checkpoint_exits_2(self, command, trained_dir, tmp_path, capsys):

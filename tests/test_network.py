@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -445,8 +446,8 @@ class TestWinogradKernelCache:
     def test_repeated_eval_forwards_compute_the_kernel_once(self, monkeypatch):
         model = warmed_model(winograd_config(), seed=33)
         calls = []
-        kernel = network.winograd_kernel
-        monkeypatch.setattr(network, "winograd_kernel",
+        kernel = tensor.winograd_kernel
+        monkeypatch.setattr(tensor, "winograd_kernel",
                             lambda w: calls.append(w.shape) or kernel(w))
         h = np.ones((4, model.config.N, model.config.H, model.config.W))
         assert not runs_winograd(model, h[:1]) and calls == []  # cold: im2col
@@ -470,8 +471,18 @@ class TestWinogradKernelCache:
         got, _ = model.forward_features(f_src, f_trg, mode="train")
         want, _ = reference.forward_features(f_src, f_trg, mode="train")
         assert got.tobytes() == want.tobytes()
-        assert model.encoder._kernel is poison
-        assert reference.encoder._kernel == (None, None, None)
+        assert model.encoder._kernel is None  # dropped, not kept stale
+        assert reference.encoder._kernel is None
+
+    def test_train_step_releases_the_kernel_transform(self):
+        model = warmed_model(winograd_config(), seed=41)
+        model.forward_features(*random_features(model.config, B=4, seed=42), mode="eval")
+        held = weakref.ref(model.encoder._kernel[2])  # four pairs ran Winograd
+        model.forward_features(*random_features(model.config, B=4, seed=43), mode="train")
+        model.backward(np.ones((4, model.config.Q)))
+        assert held() is None
+        assert all(layer._kernel is None
+                   for layer in (model.encoder, model.g1, model.g2, model.s1))
 
     def test_one_pair_paper_scale_eval_matches_im2col(self, monkeypatch):
         model = warmed_model(ModelConfig(), seed=39)

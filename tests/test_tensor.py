@@ -220,33 +220,31 @@ class TestConv2d:
         (True, 16, 48, 32, 8, 7, 4_816_896, 7_402_752, False),  # desk eval
         (True, 1, 133, 128, 9, 1, 1_378_944, 1_569_213, False),  # paper G branch
         (True, 16, 37, 32, 2, 1, 75_776, 259_920, False),  # desk G branch
-        # a getter with nothing held yet: a cold one-pair forward stays im2col,
+        # no U held yet: a cold one-pair forward stays im2col,
         # and the paper B=8 eval that fills the cache runs Winograd
         (False, 1, 128, 128, 15, 7, 65_028_096, 85_370_112, False),
         (False, 8, 128, 128, 15, 7, 520_224_768, 227_764_224, True),
     ])
     def test_algorithm_chosen_with_a_kernel_getter(self, held, B, cin, cout, H, k, im2col,
                                                    winograd, uses_winograd, monkeypatch):
-        # the count leaves the kernel stage out only when the caller holds it,
-        # and the getter runs only once Winograd is chosen
+        # the count leaves the kernel stage out only when the caller passes U,
+        # and Winograd then uses that U rather than computing its own
         assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1,
                                  kernel_held=held) == (im2col, winograd)
         rng = np.random.default_rng(B + cin + k)
         x = rng.standard_normal((B, cin, H, H))
         w = rng.standard_normal((cout, cin, k, k))
+        U = tensor.winograd_kernel(w) if held else None
         got = []
-        kernel_calls = []
         winograd_forward = tensor.winograd_conv2d_forward
         monkeypatch.setattr(tensor, "winograd_conv2d_forward",
                             lambda *args: got.append(args[3]) or winograd_forward(*args))
-        out, cache = conv2d_forward(
-            x, w, np.zeros(cout),
-            lambda: kernel_calls.append(1) or tensor.winograd_kernel(w), held)
+        out, cache = conv2d_forward(x, w, np.zeros(cout), U)
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
-        assert len(kernel_calls) == len(got) == int(uses_winograd)
+        assert len(got) == int(uses_winograd)
         assert len(cache) == 3 + int(uses_winograd)
         if uses_winograd:
-            assert got[0].tobytes() == tensor.winograd_kernel(w).tobytes()
+            assert got[0] is U and (U is None or cache[2] is U)
             plain, _ = winograd_forward(x, w, np.zeros(cout))
             assert out.tobytes() == plain.tobytes()
 
