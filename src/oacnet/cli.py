@@ -102,7 +102,6 @@ def cmd_check_equiv(args):
     H, W, N = _parse_dims(args.dims, "4x4x2")
     _at_least("--trials", args.trials, 1)
     _at_least("--seed", args.seed, 0)
-    _print_config({"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
     bounds = {"output": 1e-10, "weight-gradient": 1e-8, "bias-gradient": 1e-12}
     worst = dict.fromkeys(bounds, 0.0)
     rng = np.random.default_rng(args.seed)
@@ -123,6 +122,8 @@ def cmd_check_equiv(args):
             results.append((h, bank.weights.grad.copy(), bank.bias.grad.copy()))
         for key, a, b in zip(bounds, *results):
             worst[key] = max(worst[key], float(np.abs(a - b).max()))
+    # printed once the trials have run, so an allocation they cannot make prints nothing
+    _print_config({"dims": f"{H}x{W}x{N}", "trials": args.trials, "seed": args.seed})
     print(f"max output deviation over {args.trials} trials: {worst['output']:.3e}")
     for key in list(bounds)[1:]:
         print(f"max {key} deviation: {worst[key]:.3e}")
@@ -135,11 +136,12 @@ def cmd_bench(args):
     H, W, N = _parse_dims(args.dims, "15x15x128")
     _at_least("--repeats", args.repeats, 1)
     _at_least("--seed", args.seed, 0)
-    _print_config({"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     c = rng.standard_normal((1, H * W, H, W))
     bank = corr.OacKernelBank(N, H, W, rng)
     g = rng.standard_normal((1, N, H, W))
+    # printed once the inputs exist, so an allocation they cannot make prints nothing
+    _print_config({"dims": f"{H}x{W}x{N}", "repeats": args.repeats, "seed": args.seed})
     formulas = {}
     for path, fwd, bwd in (
         ("direct", corr.oac_forward_direct, corr.oac_backward_direct),

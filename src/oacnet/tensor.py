@@ -296,7 +296,10 @@ class BatchNorm:
 
     A train-mode forward also updates the running statistics. Eval before any
     train-mode update is an error: it surfaces pipelines that never ran a
-    training step but expect meaningful running statistics.
+    training step but expect meaningful running statistics. Forward and
+    backward write their passes in place, one temporary per array rather
+    than per expression, in the expressions' op order: the bytes, and the
+    layouts the reductions read, are the expressions'.
     """
 
     def __init__(self, channels, prefix=""):
@@ -323,21 +326,31 @@ class BatchNorm:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
+        xhat = x - mean[None, :, None, None]
+        xhat *= inv_std[None, :, None, None]
+        out = self.gamma.value[None, :, None, None] * xhat
+        out += self.beta.value[None, :, None, None]
         return out, (xhat, inv_std)
 
     def backward(self, cache, gout):
         """Gradient through a train-mode forward (batch statistics)."""
         xhat, inv_std = cache
-        self.gamma.grad += np.sum(gout * xhat, axis=(0, 2, 3))
+        # one scratch array, in the layout numpy gives gout * xhat, holds each
+        # product with xhat; every reduction reads the layout it always read
+        t = gout * xhat
+        self.gamma.grad += np.sum(t, axis=(0, 2, 3))
         self.beta.grad += np.sum(gout, axis=(0, 2, 3))
         g = gout * self.gamma.value[None, :, None, None]
         n = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
         sum_g = np.sum(g, axis=(0, 2, 3))[None, :, None, None]
-        sum_gx = np.sum(g * xhat, axis=(0, 2, 3))[None, :, None, None]
-        gx = (inv_std[None, :, None, None] / n) * (n * g - sum_g - xhat * sum_gx)
-        return gx
+        sum_gx = np.sum(np.multiply(g, xhat, out=t), axis=(0, 2, 3))[None, :, None, None]
+        # (inv_std / n) * (n * g - sum_g - xhat * sum_gx), op by op, into t
+        g *= n
+        g -= sum_g
+        np.multiply(xhat, sum_gx, out=t)
+        np.subtract(g, t, out=t)
+        t *= inv_std[None, :, None, None] / n
+        return t
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -373,35 +386,57 @@ def spatial_softmax_backward(cache, gout):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# values per chunk of Adam.step (16K-64K time alike, 8K is slower)
+ADAM_CHUNK = 32768
 
 
 class Adam:
-    """Standard ADAM with bias correction; zeroes gradients after each step."""
+    """Standard ADAM with bias correction; zeroes gradients after each step.
+
+    Each parameter steps in chunks of ADAM_CHUNK values, so a chunk's arrays
+    stay in cache through every op, its finite check and its gradient zeroing;
+    temporaries go to two scratch vectors allocated once. The ops and their
+    order are the whole-array ones, and so are the bytes. A value or gradient
+    that is not C-contiguous is refused (ValueError): its flat view would be
+    a copy, and the step would be lost.
+    """
 
     def __init__(self, params, lr=2e-4):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
+        self._step, self._denom = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; in place, same rounding
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            step = m / (1 - ADAM_BETA1**t)
-            denom = v / (1 - ADAM_BETA2**t)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            step *= self.lr
-            step /= denom
-            p.value -= step
+        for p, m_all, v_all in zip(self.params, self.m, self.v):
+            if not (p.value.flags.c_contiguous and p.grad.flags.c_contiguous):
+                raise ValueError(f"parameter {p.name}: Adam steps C-contiguous arrays only")
+            # bumped before the first write, so a raise part-way leaves it stale
             p.version += 1
-            assert_finite(p.value, f"parameter {p.name} after ADAM step")
-            p.zero_grad()
+            value, grad = p.value.reshape(-1), p.grad.reshape(-1)
+            m_all, v_all = m_all.reshape(-1), v_all.reshape(-1)
+            for lo in range(0, value.size, ADAM_CHUNK):
+                c = slice(lo, lo + ADAM_CHUNK)
+                x, g, m, v = value[c], grad[c], m_all[c], v_all[c]
+                step, denom = self._step[: g.size], self._denom[: g.size]
+                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; in place, same rounding
+                m *= ADAM_BETA1
+                np.multiply(g, 1 - ADAM_BETA1, out=step)
+                m += step
+                v *= ADAM_BETA2
+                np.multiply(g, 1 - ADAM_BETA2, out=step)
+                step *= g
+                v += step
+                np.divide(m, 1 - ADAM_BETA1**t, out=step)
+                np.divide(v, 1 - ADAM_BETA2**t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                step *= self.lr
+                step /= denom
+                x -= step
+                assert_finite(x, f"parameter {p.name} after ADAM step")
+                g[...] = 0.0

@@ -373,6 +373,12 @@ class TestCheckEquivCommand:
             assert main(["check-equiv", *argv]) == 1
             assert_one_line_error(capsys, argv[0])
 
+    def test_allocation_beyond_the_machine_exits_1(self, capsys):
+        # one trial's feature maps alone would take 2.13 PiB; the trials run
+        # before the resolved configuration is printed, so stdout stays empty
+        assert main(["check-equiv", "--dims", "10000000x10000000x1", "--trials", "1"]) == 1
+        assert assert_one_line_error(capsys, "error: out of memory: Unable to allocate") == ""
+
     def test_reproducible_output(self, capsys):
         main(["check-equiv", "--dims", "3x3x2", "--trials", "10", "--seed", "4"])
         first = capsys.readouterr().out
@@ -405,6 +411,18 @@ class TestBenchCommand:
                      ["--repeats", "0"], ["--repeats", "-1"]):
             assert main(["bench", *argv]) == 1
             assert_one_line_error(capsys, argv[0])
+
+    @pytest.mark.parametrize("dims,message", [
+        # the correlation volume would take 71.1 PiB
+        ("10000x10000x1", "error: out of memory: Unable to allocate"),
+        # its byte count would pass the address space, which numpy refuses
+        # before it tries to allocate
+        ("100000x100000x1", "error: array is too big"),
+    ])
+    def test_allocation_beyond_the_machine_exits_1(self, dims, message, capsys):
+        # the inputs are built before the resolved configuration is printed
+        assert main(["bench", "--dims", dims, "--repeats", "1"]) == 1
+        assert assert_one_line_error(capsys, message) == ""
 
     def test_times_forward_and_backward(self, capsys):
         assert main(["bench", "--dims", "4x5x2", "--repeats", "1"]) == 0

@@ -410,7 +410,7 @@ def direct_per_location(c, bank, g):
     out = np.empty((HW, B, N))
     for ij, window in enumerate(windows):
         np.matmul(C[ij], window, out=out[ij])
-    pre = np.ascontiguousarray(out.reshape(H, W, B, N).transpose(2, 3, 0, 1))
+    pre = out.reshape(H, W, B, N).transpose(2, 3, 0, 1)
     pre += bank.bias.value[None, :, None, None]
     h = np.maximum(pre, 0.0)
     dpre = g * (pre > 0.0)
@@ -418,7 +418,7 @@ def direct_per_location(c, bank, g):
     dw = np.zeros((N, 2 * H - 1, 2 * W - 1))
     for ij, (s, t) in enumerate(offsets):
         dw[:, s, t] += (C[ij].T @ D[ij]).T
-    return h, pre, dpre.sum(axis=(0, 2, 3)), dw
+    return h, pre, np.ascontiguousarray(dpre).sum(axis=(0, 2, 3)), dw
 
 
 class TestDirectPathLayout:
@@ -452,6 +452,25 @@ class TestDirectPathLayout:
         assert bank.bias.grad.tobytes() == db_ref.tobytes()
         dw = bank.weights.grad
         assert np.max(np.abs(dw - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
+
+    @pytest.mark.parametrize("B,H,W", [(8, 15, 15), (3, 5, 7)])
+    def test_channels_last_upstream_gradient(self, B, H, W):
+        """The encoder's backward returns the gradient in the displacement
+        map's channels-last layout. From it, the bias gradient still sums in
+        (B, N, H, W) order, byte-equal to a C-ordered upstream gradient's."""
+        rng = np.random.default_rng(B * H * W)
+        c = rng.standard_normal((B, H * W, H, W))
+        g = rng.standard_normal((B, 4, H, W))
+        grads = []
+        for layout in ("C", "channels-last"):
+            bank = random_bank(4, H, W, seed=41)
+            h, cache = oac_forward_direct(c, bank)
+            g_in = np.empty_like(h) if layout == "channels-last" else np.empty(h.shape)
+            g_in[...] = g
+            assert oac_backward_direct(cache, bank, g_in) is None
+            grads.append((bank.bias.grad, bank.weights.grad))
+        assert grads[1][0].tobytes() == grads[0][0].tobytes()
+        assert grads[1][1].tobytes() == grads[0][1].tobytes()
 
 
 # ---------------------------------------------------------------------------

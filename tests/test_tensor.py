@@ -178,6 +178,30 @@ class TestConv2d:
         # operand layout, so only closeness is asserted here
         assert np.allclose(gw, rw, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("B,cin,H,cout,algorithm", [
+        (8, 128, 15, 128, "winograd"),  # paper-scale encoder, a training batch
+        (16, 48, 8, 32, "im2col"),      # desk-scale encoder
+    ])
+    def test_channels_last_input_is_byte_equal(self, B, cin, H, cout, algorithm):
+        """The direct OAC path hands the encoder a (B, N, H, W) view of
+        (H, W, B, N) memory: the forward and backward are byte-equal to those
+        of a C-ordered copy, and gx comes back in x's layout."""
+        rng = np.random.default_rng(B + cin)
+        x = rng.standard_normal((B, cin, H, H))
+        x_last = np.empty((H, H, B, cin)).transpose(2, 3, 0, 1)
+        x_last[...] = x
+        w = rng.standard_normal((cout, cin, 7, 7))
+        b = rng.standard_normal(cout)
+        out, cache = conv2d_forward(x, w, b)
+        out_last, cache_last = conv2d_forward(x_last, w, b)
+        assert len(cache) == {"winograd": 4, "im2col": 3}[algorithm]
+        assert out_last.strides == out.strides and out_last.tobytes() == out.tobytes()
+        gout = rng.standard_normal(out.shape)
+        got, got_last = conv2d_backward(cache, gout), conv2d_backward(cache_last, gout)
+        for name, a, a_last in zip(("gx", "gw", "gb"), got, got_last):
+            assert a_last.tobytes() == a.tobytes(), name
+        assert got[0].strides == x.strides and got_last[0].strides == x_last.strides
+
     @pytest.mark.parametrize("B,cin,H,W,cout,k", WINOGRAD_SHAPES)
     def test_winograd_matches_im2col(self, B, cin, H, W, cout, k):
         rng = np.random.default_rng(B * cin * H + W * k)
@@ -434,6 +458,51 @@ class TestBatchNorm:
             report = grad_check(loss_fn, [xp])
         assert max(report.values()) < 1e-4
 
+    # memory orders of x and of the upstream gradient: C, a conv output's
+    # (C, B, H, W) as the model feeds x, and channels-last (B, H, W, C)
+    @pytest.mark.parametrize("x_memory,g_memory", [
+        ((0, 1, 2, 3), (0, 1, 2, 3)),
+        ((1, 0, 2, 3), (0, 1, 2, 3)),
+        ((1, 0, 2, 3), (0, 2, 3, 1)),
+    ])
+    def test_in_place_passes_are_the_expressions(self, x_memory, g_memory):
+        """Train and eval forwards and the backward are byte-equal, layout
+        included, to the expressions written with one temporary each."""
+        rng = np.random.default_rng(12)
+        shape = (8, 6, 9, 9)
+
+        def laid_out(memory):
+            return rng.standard_normal(tuple(shape[i] for i in memory)).transpose(
+                np.argsort(memory))
+
+        x, gout = laid_out(x_memory), laid_out(g_memory)
+        bn = BatchNorm(6)
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, 6)
+        bn.beta.value[...] = rng.uniform(-0.5, 0.5, 6)
+        c = (None, slice(None), None, None)
+        gamma, beta = bn.gamma.value, bn.beta.value
+        for mode in ("train", "eval"):
+            if mode == "train":
+                mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            else:
+                mean, var = bn.running_mean, bn.running_var
+            out, cache = bn.forward(x, mode)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (x - mean[c]) * inv_std[c]
+            ref = gamma[c] * xhat + beta[c]
+            assert out.strides == ref.strides and out.tobytes() == ref.tobytes()
+        _, cache = bn.forward(x, "train")
+        xhat, inv_std = cache
+        gx = bn.backward(cache, gout)
+        n = 8 * 9 * 9
+        g = gout * gamma[c]
+        sum_g = np.sum(g, axis=(0, 2, 3))[c]
+        sum_gx = np.sum(g * xhat, axis=(0, 2, 3))[c]
+        ref = (inv_std[c] / n) * (n * g - sum_g - xhat * sum_gx)
+        assert gx.strides == ref.strides and gx.tobytes() == ref.tobytes()
+        assert bn.gamma.grad.tobytes() == np.sum(gout * xhat, axis=(0, 2, 3)).tobytes()
+        assert bn.beta.grad.tobytes() == np.sum(gout, axis=(0, 2, 3)).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # spatial softmax
@@ -539,6 +608,65 @@ class TestAdam:
             vh = v / (1 - 0.999**t)
             ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
             assert np.allclose(p.value, ref, atol=1e-14)
+
+    def test_chunked_step_is_the_whole_array_step(self):
+        """Over parameters longer than a chunk (its last chunk partial) and
+        shorter than one, three steps leave values and moments byte-equal to
+        whole-array passes of the same ops, zero the gradients and bump each
+        version once per step."""
+        rng = np.random.default_rng(16)
+        params = [Parameter(rng.standard_normal(2 * tensor.ADAM_CHUNK + 123), "long"),
+                  Parameter(rng.standard_normal(3), "short")]
+        refs = [(p.value.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 4):
+            for p, (x, m, v) in zip(params, refs):
+                g = rng.standard_normal(p.shape)
+                p.grad[...] = g
+                # the whole-array expressions, op for op
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                step = m / (1 - 0.9**t)
+                denom = v / (1 - 0.999**t)
+                np.sqrt(denom, out=denom)
+                denom += 1e-8
+                step *= 0.01
+                step /= denom
+                x -= step
+            opt.step()
+            for p, (x, m, v), m_opt, v_opt in zip(params, refs, opt.m, opt.v):
+                assert p.value.tobytes() == x.tobytes()
+                assert m_opt.tobytes() == m.tobytes() and v_opt.tobytes() == v.tobytes()
+                assert not p.grad.any()
+                assert p.version == t
+
+    def test_nan_gradient_in_a_later_chunk_names_the_parameter(self):
+        p = Parameter(np.zeros(2 * tensor.ADAM_CHUNK + 123), "encoder.w")
+        p.grad[tensor.ADAM_CHUNK + 5] = np.nan
+        with pytest.raises(NumericError, match="parameter encoder.w after ADAM step"):
+            Adam([p]).step()
+        assert p.version == 1  # bumped before the first chunk was written
+
+    def test_a_rebound_value_is_the_one_updated(self):
+        p = Parameter(np.zeros(tensor.ADAM_CHUNK + 7), "p")
+        opt = Adam([p], lr=0.1)
+        p.grad[...] = 1.0
+        opt.step()
+        old = p.value
+        p.value = old.copy()
+        p.grad[...] = 1.0
+        opt.step()
+        assert np.all(p.value < old) and np.all(old == old[0]) and -0.11 < old[0] < -0.09
+
+    def test_non_contiguous_value_refused(self):
+        # a flat view of it would be a copy, so the step would be lost
+        p = Parameter(np.zeros((3, 4)), "p")
+        p.value = np.zeros((4, 3)).T
+        p.grad[...] = 1.0
+        with pytest.raises(ValueError, match="parameter p: .*C-contiguous"):
+            Adam([p]).step()
 
 
 # ---------------------------------------------------------------------------
