@@ -183,7 +183,8 @@ def cmd_eval(args):
     model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
     if args.dump_attention:
         publish = _outputs("--dump-attention", args.dump_attention, directory=True)
-    _print_config({"checkpoint": args.checkpoint, "alpha": args.alpha, "seed": args.seed})
+    _print_config({"checkpoint": args.checkpoint, "pairs": args.pairs, "alpha": args.alpha,
+                   "seed": args.seed, "dump_attention": args.dump_attention or None})
     rng = np.random.default_rng(args.seed)
     images = [
         pipeline.make_procedural_image(rng, tconf.image_size, tconf.image_channels)
@@ -238,12 +239,14 @@ def cmd_warp(args):
     if args.checkpoint is None:
         image, dumps = storage.load_image(args.image), []
         theta, state = geometry.theta_vector(storage.load_tensor(args.theta_file)), None
+        source = {"theta_file": args.theta_file}
     else:
         model, tconf = AttentiveAlignmentModel.load(args.checkpoint, pipeline.TrainConfig)
         image = pipeline.load_image(args.image, tconf)  # the shape the run's provider reads
         dumps = [f"{os.path.splitext(args.out)[0]}_attention.{ext}" for ext in ("csv", "pgm")]
+        source = {"checkpoint": args.checkpoint, "seed": seed}
     publish = _outputs("--out", args.out, *dumps)
-    _print_config({"image": args.image, "out": args.out})
+    _print_config({"image": args.image, **source, "out": args.out})
     if args.checkpoint is not None:
         rng = np.random.default_rng(seed)
         theta_vecs, state = pipeline.predict(

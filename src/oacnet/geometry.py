@@ -127,12 +127,8 @@ def transform(theta, pts):
     interpolant maps each anchor exactly to anchor + displacement.
     """
     g = _lattice(theta.size)
-    if g:
-        B = _design(pts, g)
-        k = g * g
-        return pts + np.stack([B @ theta[:k], B @ theta[k:]], axis=1)
-    a11, a12, tx, a21, a22, ty = theta
-    return pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
+    moved = _design(pts, g) @ theta.reshape(2, -1).T
+    return pts + moved if g else moved
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +267,8 @@ def _warp_crop(image, pad, theta, what):
     """The (C,H,W) crop whose pixel center g samples, at T(g), the image as
     np.pad(mode="reflect") extends it by `pad` (pad 0: reflected at its edges)."""
     C, H, W = image.shape
-    mapped = transform(theta, _crop_grid(H, W)).T
-    # crop-normalized -> padded-image pixel coords, rows x then y
-    pix = pad + (mapped + 1.0) * np.array([[W - 1.0], [H - 1.0]]) / 2.0
+    # padded-image pixel coords, rows x then y
+    pix = (pad + denormalize_points(transform(theta, _crop_grid(H, W)), (H, W))).T
     return assert_finite(_sample_flat(image, pix, pad).reshape(C, H, W), what)
 
 

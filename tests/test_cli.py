@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: exit codes, emitted files,
 and printed reports."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -980,6 +981,35 @@ class TestParser:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("argv", [
+        ["check-equiv", "--dims", "3x3x2", "--trials", "2", "--seed", "4"],
+        ["bench", "--dims", "3x3x2", "--repeats", "1", "--seed", "4"],
+        ["eval", "--checkpoint", "{ckpt}", "--pairs", "2", "--seed", "4", "--alpha", "0.2",
+         "--dump-attention", "{attn}"],
+        ["pck", "--keypoints-csv", "{csv}", "--theta-file", "{theta}", "--alpha", "0.2",
+         "--image-size", "120"],
+        ["warp", "--image", "{image}", "--theta-file", "{theta}", "--out", "{out}"],
+        ["warp", "--image", "{image}", "--checkpoint", "{gray}", "--seed", "4", "--out", "{out}"],
+    ], ids=["check-equiv", "bench", "eval", "pck", "warp-theta-file", "warp-checkpoint"])
+    def test_every_flag_given_is_printed(self, argv, trained_dir, tmp_path, capsys):
+        # train is not a row: its block is its config file's resolved keys
+        paths = {"ckpt": str(trained_dir / "checkpoint"), "attn": str(tmp_path / "attn"),
+                 "theta": str(tmp_path / "theta.oact"), "image": save_ramp(tmp_path / "in.pgm")[0],
+                 "csv": write_keypoints(tmp_path / "kp.csv", [("p0", 10, 10, 10, 10, 100, 100)]),
+                 "out": str(tmp_path / "o.pgm"), "gray": str(tmp_path / "run" / "checkpoint")}
+        storage.save_tensor(paths["theta"], geometry.identity_vector("affine"))
+        if "{gray}" in argv:  # a model of the P5 ramp's one channel
+            config = write_config(tmp_path / "t.cfg", image_channels="1")
+            assert main(["train", "--config", config, "--out-dir", str(tmp_path / "run")]) == 0
+            capsys.readouterr()
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 0
+        block = capsys.readouterr().out.split("resolved configuration:\n", 1)[1]
+        lines = itertools.takewhile(lambda line: line.startswith("  "), block.splitlines())
+        printed = dict(line.strip().split(" = ", 1) for line in lines)
+        given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv[1::2], argv[2::2])}
+        assert {key: printed.get(key) for key in given} == given
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help_exits_0(self, command, capsys):

@@ -399,18 +399,21 @@ class TestSamplerEquivalence:
     def test_cached_tps_basis_byte_equal_to_uncached(self, grid_n):
         rng = np.random.default_rng(grid_n)
         theta = 0.1 * rng.standard_normal(2 * grid_n * grid_n)
+        a11, a12, tx, a21, a22, ty = affine = sample_random_transform("affine", rng)
         uncached = geometry._tps_basis.__wrapped__
         assert not geometry._tps_system(grid_n)[0].flags.writeable
         for pts in (geometry._crop_grid(32, 32), geometry._border_probe(),
-                    make_regular_grid(20)):
+                    make_regular_grid(20), rng.uniform(-1.5, 1.5, (500, 2))):
             fresh = uncached(grid_n, pts.shape, pts.tobytes())
             for _ in range(2):  # the computing call, then the cached one
                 cached = geometry._design(pts, grid_n)
                 assert cached.tobytes() == fresh.tobytes()
                 assert not cached.flags.writeable
-            moved = pts + np.stack([fresh @ theta[: grid_n**2],
-                                    fresh @ theta[grid_n**2 :]], axis=1)
+            moved = pts + fresh @ theta.reshape(2, -1).T
             assert transform(theta, pts).tobytes() == moved.tobytes()
+            # the affine closed form, byte for byte
+            closed = pts @ np.array([[a11, a12], [a21, a22]]).T + np.array([tx, ty])
+            assert transform(affine, pts).tobytes() == closed.tobytes()
         # the cache is keyed by values: a mutated array gets its new values' basis
         pts = make_regular_grid(20)
         first = geometry._design(pts, grid_n)

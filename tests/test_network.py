@@ -133,8 +133,8 @@ class TestEncoder:
         zn, _ = model.encoder.bn.forward(z, "train")
         ref, _ = relu_forward(zn)
         # drive the same tensors through the model's forward path
-        c = np.zeros((2, cfg.H * cfg.W, cfg.H, cfg.W))
-        model.forward_correlation(c, mode="train")
+        zero = np.zeros((2, cfg.D, cfg.H, cfg.W))  # its correlation map is zero
+        _, state = model.forward_features(zero, zero, mode="train")
         # with a zero correlation map, h = relu(bias) broadcast; compare that case
         h_zero = np.broadcast_to(
             np.maximum(model.bank.bias.value, 0.0)[None, :, None, None],
@@ -143,7 +143,7 @@ class TestEncoder:
         z0, _ = conv2d_forward(h_zero, model.encoder.w.value, model.encoder.b.value)
         zn0, _ = model.encoder.bn.forward(z0, "train")
         ref0, _ = relu_forward(zn0)
-        assert np.allclose(model._cache["F"], ref0, atol=1e-12)
+        assert np.allclose(state.F, ref0, atol=1e-12)
         assert ref.shape == (2, cfg.encoder_channels, cfg.Hh, cfg.Wh)
 
 
@@ -186,7 +186,7 @@ class TestAttention:
         cfg = tiny_config()
         model = warmed_model(cfg, seed=4)
         f_src, f_trg = random_features(cfg, seed=4)
-        model.forward_features(f_src, f_trg, mode="eval")
+        model.forward_features(f_src, f_trg, mode="train")
         g2a = model._cache["g2a"]  # (B, encoder_channels, Hh, Wh)
         tau = model._cache["tau"]
         lo = g2a.min(axis=(2, 3))
@@ -199,7 +199,7 @@ class TestAttention:
         model = warmed_model(cfg, seed=5)
         f_src, f_trg = random_features(cfg, B=1, seed=5)
         # drive scores to a near-one-hot by saturating S's output weight
-        model.forward_features(f_src, f_trg, mode="eval")
+        model.forward_features(f_src, f_trg, mode="train")
         g2a = model._cache["g2a"][0]
         alpha = np.zeros((1, 1, cfg.Hh, cfg.Wh))
         alpha[0, 0, 1, 0] = 1.0
@@ -233,8 +233,8 @@ class TestPredictTheta:
         rng = np.random.default_rng(11)
         model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
         f_src, f_trg = random_features(cfg, B=1, seed=10)
-        theta, _ = model.forward_features(f_src, f_trg, mode="eval")
-        tau = model._cache["tau"][0]
+        theta, state = model.forward_features(f_src, f_trg, mode="eval")
+        tau = state.tau[0]
         expected = model.head_w.value @ tau + geometry.identity_vector("affine")
         assert np.allclose(theta, expected, atol=1e-12)
 
@@ -352,7 +352,7 @@ class TestBackward:
         assert set(model._cache) == diagnostics
         model.forward_features(f_src, f_trg, mode="train")
         model.forward_features(f_src, f_trg, mode="eval")
-        assert set(model._cache) == diagnostics
+        assert model._cache is None
         with pytest.raises(RuntimeError, match="train-mode forward"):
             model.backward(np.zeros((2, cfg.Q)))
 
