@@ -85,9 +85,9 @@ class ModelConfig(storage.ConfigCodec):
 
 class ConvBNReLU:
     """Valid k x k conv, batch norm and ReLU, with parameters `name`.w/.b/.bn.
-    An eval forward that runs Winograd keeps its kernel transform U with the weight
-    array and `version` it came from; later eval forwards pass U while both hold, so
-    one pair can run Winograd too. Any other forward drops U: train holds none."""
+    An eval forward of a k > 1 (Winograd) layer keeps its kernel transform U with the
+    weight array and `version` it came from; later eval forwards pass U while both hold,
+    which saves time and changes no bit. Any other forward drops U: train holds none."""
 
     def __init__(self, rng, name, cin, cout, k=1):
         self.w = Parameter(he_uniform(rng, (cout, cin, k, k), cin * k * k), f"{name}.w")

@@ -5,10 +5,10 @@ All arrays are float64, row-major. Every op validates its output for NaN/Inf.
 Contractions are written as the matmul, operand order and memory layouts
 included, that numpy's einsum(..., optimize=True) calls for them: results are
 bit-equal to that formulation, without its path planning on every call. The
-one exception is a conv that runs Winograd F(3x3, kxk) because it issues fewer
-multiplies than im2col there (see the convolution section); it rounds
-differently, up to about 1e-13 relative. An eval-mode network.ConvBNReLU keeps the
-kernel transform its Winograd computed, for later eval forwards; train holds none.
+one exception is a k x k conv (k > 1), which runs Winograd F(3x3, kxk) (see the
+convolution section) and rounds differently, up to about 1e-13 relative. An eval-mode
+network.ConvBNReLU keeps the kernel transform its Winograd computed for later eval
+forwards, which saves time and changes no bit; train holds none.
 Forward functions return (output, cache); the matching backward consumes the
 cache and returns input gradients. Only this fixed set of ops is differentiable.
 """
@@ -19,7 +19,7 @@ import functools
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(Exception):
@@ -92,30 +92,17 @@ def l2_normalize_channels(x):
 # ---------------------------------------------------------------------------
 # Convolution (cross-correlation, no kernel flip)
 #
-# A k x k conv runs whichever of two algorithms issues fewer multiplies for the
-# call's shapes (conv2d_multiplies): im2col, one GEMM over every output's k x k
-# window, or Winograd minimal filtering F(3x3, kxk) (Lavin & Gray, "Fast
-# Algorithms for Convolutional Neural Networks", arXiv:1509.09308), which gets
-# each 3x3 output tile from its (k+2)x(k+2) input tile through fixed linear
-# transforms of the tile, the kernel and their elementwise product. A caller
-# that holds the kernel transform U passes it, and the count leaves it out.
+# The kernel size picks the algorithm. A 1x1 conv is one (Cout, Cin) @ (Cin, B*H*W)
+# GEMM. A k x k conv (k = 3, 5, 7) runs Winograd minimal filtering F(3x3, kxk) (Lavin
+# & Gray, "Fast Algorithms for Convolutional Neural Networks", arXiv:1509.09308),
+# which gets each 3x3 output tile from its (k+2)x(k+2) input tile through fixed
+# linear transforms of the tile, the kernel and their elementwise product. A caller
+# that holds the kernel transform U passes it, and the arithmetic is the same.
 
 WINOGRAD_TILE = 3  # output tile side m of F(m x m, k x k)
 # Toom-Cook points, taken in this order: the first k + 2 serve a k x k kernel
 WINOGRAD_POINTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
-
-
-def conv2d_multiplies(B, cin, cout, k, Ho, Wo, kernel_held=False):
-    """Multiplies a forward issues, as (im2col, Winograd). Winograd's are those
-    of its input, kernel, elementwise and output stages, over an output padded
-    up to whole tiles; the kernel stage is left out when the caller holds it."""
-    m = WINOGRAD_TILE
-    tiles = B * -(-Ho // m) * -(-Wo // m)
-    a2 = (k + m - 1) ** 2
-    im2col = B * Ho * Wo * cout * cin * k * k
-    kernel = 0 if kernel_held else k * k * cout * cin
-    winograd = a2 * (a2 * cin * tiles + kernel + cout * cin * tiles + m * m * cout * tiles)
-    return im2col, winograd
+MAX_KERNEL = len(WINOGRAD_POINTS) - WINOGRAD_TILE + 1
 
 
 @functools.cache
@@ -149,32 +136,29 @@ def _winograd_transforms(k):
 
 
 def conv2d_forward(x, w, b, U=None):
-    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv. U, if given, is the
-    caller's winograd_kernel(w) (an eval ConvBNReLU's; train holds none): the count
-    leaves that stage out, and Winograd uses U. The cache is im2col's (x, w, cols)
+    """x: (B,Cin,H,W), w: (Cout,Cin,k,k), b: (Cout,). Valid conv: one channel GEMM
+    for k = 1, Winograd F(3x3, kxk) for k = 3, 5, 7. U, if given, is the caller's
+    winograd_kernel(w) (an eval ConvBNReLU's; train holds none), which Winograd uses
+    instead of computing its own, to the same bytes. The cache is the GEMM's (x, w)
     or Winograd's (x, w, U, V); conv2d_backward dispatches on its length."""
     B, cin, H, W = x.shape
     cout, cin_w, k, k2 = w.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(f"kernel must be square with odd size, got {k}x{k2}")
+    if k != k2 or k % 2 == 0 or k > MAX_KERNEL:
+        raise ShapeError(f"kernel must be square with an odd side of at most {MAX_KERNEL}, "
+                         f"got {k}x{k2}")
     if cin != cin_w:
         raise ShapeError(f"input channels {cin} != weight channels {cin_w}")
     Ho = H - k + 1
     Wo = W - k + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"non-positive conv output size {Ho}x{Wo}")
-    im2col, winograd = conv2d_multiplies(B, cin, cout, k, Ho, Wo, U is not None)
-    if winograd < im2col and k + WINOGRAD_TILE - 1 <= len(WINOGRAD_POINTS):
+    if k > 1:
         return winograd_conv2d_forward(x, w, b, U)
-    cols = sliding_window_view(x, (k, k), axis=(2, 3))  # B,Cin,Ho,Wo,k,k
-    # (Cout, Cin*k*k) @ (Cin*k*k, B*Ho*Wo)
-    cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(cin * k * k, B * Ho * Wo)
-    out = (w.reshape(cout, -1) @ cols).reshape(cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+    cols = x.transpose(1, 0, 2, 3).reshape(cin, B * H * W)
+    out = (w.reshape(cout, cin) @ cols).reshape(cout, B, H, W).transpose(1, 0, 2, 3)
     out += b[None, :, None, None]
     assert_finite(out, "conv2d output")
-    # a k x k conv keeps its im2col matrix for the weight gradient; a 1x1
-    # conv's is a transposed copy of x, cheaper to rebuild than to hold
-    return out, (x, w, cols if k > 1 else None)
+    return out, (x, w)
 
 
 def winograd_kernel(w):
@@ -208,7 +192,7 @@ def winograd_conv2d_forward(x, w, b, U=None):
     V = (BB @ tiles.reshape(a * a, -1)).reshape(a * a, cin, -1)
     U = winograd_kernel(w) if U is None else U
     Y = AA @ (U @ V).reshape(a * a, -1)
-    # (m, m, Cout, B, th, tw) -> (Cout, B, m*th, m*tw): im2col's memory layout
+    # (m, m, Cout, B, th, tw) -> (Cout, B, m*th, m*tw): the 1x1 GEMM's memory layout
     full = Y.reshape(m, m, cout, B, th, tw).transpose(2, 3, 4, 0, 5, 1)
     full = full.reshape(cout, B, m * th, m * tw)
     out = full[:, :, :Ho, :Wo].transpose(1, 0, 2, 3)
@@ -254,33 +238,21 @@ def _winograd_conv2d_backward(cache, gout):
 def conv2d_backward(cache, gout):
     if len(cache) == 4:  # a Winograd forward's (x, w, U, V)
         return _winograd_conv2d_backward(cache, gout)
-    x, w, cols = cache
-    cout, cin, k, _ = w.shape
-    B, _, Ho, Wo = gout.shape
-    g = gout.transpose(1, 0, 2, 3).reshape(cout, B * Ho * Wo)
-    if cols is None:
-        # the 1x1 im2col as channels-last x: given a transposed view of cols,
-        # the small 1x1 GEMMs and the single-output GEMV round differently
-        x_cols = x.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, cin)
-    else:
-        x_cols = cols.T
-    gw = (g @ x_cols).reshape(w.shape)
+    x, w = cache
+    cout, cin = w.shape[:2]
+    B, _, H, W = gout.shape
+    # gw from channels-last x: given a transposed view of the forward's (Cin,
+    # B*H*W) operand, the small GEMMs and the single-output GEMV round differently
+    g = gout.transpose(1, 0, 2, 3).reshape(cout, B * H * W)
+    gw = (g @ x.transpose(0, 2, 3, 1).reshape(B * H * W, cin)).reshape(w.shape)
     gb = gout.sum(axis=(0, 2, 3))
-    # per tap (i, j), in order: w[:, :, i, j].T @ g into one reused buffer, with
-    # g's columns ordered (Ho, Wo, B), added into the shifted window of an
-    # accumulator laid out (Cin, H, W, B), so that each add runs over Wo*B
-    # contiguous values
-    g_hwb = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(cout, Ho * Wo * B)
-    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # k, k, Cin, Cout
-    acc = np.zeros((cin,) + x.shape[2:] + (B,))
-    tap = np.empty((cin, Ho * Wo * B))
-    tap_chwb = tap.reshape(cin, Ho, Wo, B)
-    for i in range(k):
-        for j in range(k):
-            np.matmul(w_taps[i, j], g_hwb, out=tap)
-            acc[:, i : i + Ho, j : j + Wo] += tap_chwb
-    gx = np.empty_like(x)  # x's memory layout, which later reductions follow
-    gx[...] = acc.transpose(3, 0, 1, 2)
+    # gx = w^T g with g's columns ordered (H, W, B), then copied into x's
+    # memory layout, which later reductions follow
+    g_hwb = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(cout, H * W * B)
+    gx_chwb = np.zeros((cin, H * W * B))
+    np.matmul(np.ascontiguousarray(w[:, :, 0, 0].T), g_hwb, out=gx_chwb)
+    gx = np.empty_like(x)
+    gx[...] = gx_chwb.reshape(cin, H, W, B).transpose(3, 0, 1, 2)
     return gx, gw, gb
 
 

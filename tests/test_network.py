@@ -20,6 +20,7 @@ from oacnet.tensor import (
 )
 
 from gradcheck import bn_stats_restored, grad_check
+from test_tensor import conv2d_im2col_reference
 
 
 def config_from_text(tmp_path, text):
@@ -302,7 +303,7 @@ class TestForward:
 
 class TestBackward:
     """Backprop stops at the OAC bank, and the layer caches, the encoder's
-    im2col matrix included, live no longer than one training step."""
+    Winograd U and V included, live no longer than one training step."""
 
     @pytest.mark.parametrize("path", ["direct", "reordered"])
     @pytest.mark.parametrize("B", [1, 3])
@@ -357,9 +358,9 @@ class TestBackward:
             model.backward(np.zeros((2, cfg.Q)))
 
     def test_second_step_peaks_no_higher_than_first(self):
-        # N=64 kernels make the encoder's im2col (N*7*7 x B*2*2, 800 KB) the
-        # largest array a step holds, so a step that kept the previous
-        # step's im2col alive would peak that much higher
+        # N=64 kernels make the encoder's Winograd V and U (81*64*8 values,
+        # 330 KB each) among the largest arrays a step holds, so a step that
+        # kept the previous step's alive would peak that much higher
         cfg = tiny_config(N=64)
         model = AttentiveAlignmentModel(cfg)
         optimizer = Adam(model.parameters())
@@ -382,12 +383,7 @@ class TestBackward:
 
 
 def winograd_config(**overrides):
-    # 32 -> 32 channels on a 15x15 map, nine 3x3 output tiles per pair. Its
-    # kernel transform costs 4,064,256 multiplies, which a cold eval forward
-    # counts: one pair runs im2col (6,910,272 Winograd against 4,064,256) and
-    # four pairs run Winograd (15,448,320 against 16,257,024), filling the
-    # cache. Once it is held, one pair runs Winograd (2,846,016 against
-    # 4,064,256), as paper scale does
+    # 32 -> 32 channels on a 15x15 map, nine 3x3 output tiles per pair
     return tiny_config(D=8, H=15, W=15, N=32, encoder_channels=32, **overrides)
 
 
@@ -399,12 +395,6 @@ def same_weights(model):
     for (bn, stat, _), (fresh_bn, _, _) in zip(model._bn_stats(), fresh._bn_stats()):
         setattr(fresh_bn, stat, getattr(bn, stat))
     return fresh
-
-
-def runs_winograd(model, x):
-    """Whether the model's encoder conv runs Winograd on x in eval mode."""
-    _, (conv_cache, _, _) = model.encoder.forward(x, mode="eval")
-    return len(conv_cache) == 4  # (x, w, U, V), against im2col's (x, w, cols)
 
 
 class TestWinogradKernelCache:
@@ -449,17 +439,17 @@ class TestWinogradKernelCache:
         kernel = tensor.winograd_kernel
         monkeypatch.setattr(tensor, "winograd_kernel",
                             lambda w: calls.append(w.shape) or kernel(w))
-        h = np.ones((4, model.config.N, model.config.H, model.config.W))
-        assert not runs_winograd(model, h[:1]) and calls == []  # cold: im2col
-        for B in (4, 1, 1, 4, 1):
+        for B in (1, 4, 1, 1, 4, 1):
             model.forward_features(*random_features(model.config, B=B, seed=B), mode="eval")
-        assert calls == [model.encoder.w.shape]  # the 1x1 layers run im2col
-        assert runs_winograd(model, h[:1]) and len(calls) == 1
+        # the first, cold one-pair forward computes U; the 1x1 layers need none
+        assert calls == [model.encoder.w.shape]
         model.forward_features(*random_features(model.config, B=2, seed=34), mode="train")
         model.backward(np.ones((2, model.config.Q)))
         Adam(model.parameters()).step()
-        assert not runs_winograd(model, h[:1]) and len(calls) == 1  # stale: cold again
-        assert runs_winograd(model, h) and runs_winograd(model, h[:1]) and len(calls) == 2
+        assert len(calls) == 2  # a train forward computes its own
+        for B in (1, 1, 4):
+            model.forward_features(*random_features(model.config, B=B, seed=B), mode="eval")
+        assert len(calls) == 3  # stale after the step: computed once again
 
     def test_train_forward_neither_reads_nor_fills_the_cache(self):
         model = warmed_model(winograd_config(), seed=37)
@@ -484,24 +474,28 @@ class TestWinogradKernelCache:
         assert all(layer._kernel is None
                    for layer in (model.encoder, model.g1, model.g2, model.s1))
 
-    def test_one_pair_paper_scale_eval_matches_im2col(self, monkeypatch):
-        model = warmed_model(ModelConfig(), seed=39)
+    def test_one_pair_eval_bytes_do_not_depend_on_the_cache(self, tmp_path, monkeypatch):
+        trained = warmed_model(ModelConfig(), seed=39)
         rng = np.random.default_rng(39)
-        model.head_w.value[...] = rng.standard_normal(model.head_w.shape)
-        f_src, f_trg = random_features(model.config, B=1, seed=40)
-        h = np.ones((2, 128, 15, 15))
-        assert not runs_winograd(model, h[:1])  # cold: 85,370,112 against 65,028,096
-        cold, cold_state = model.forward_features(f_src, f_trg, mode="eval")
-        assert runs_winograd(model, h)  # two pairs fill the cache
-        got, state = model.forward_features(f_src, f_trg, mode="eval")
-        assert runs_winograd(model, h[:1])  # held: 20,342,016 against 65,028,096
-        # the same forward with no kernel transform held: im2col at B=1
+        trained.head_w.value[...] = rng.standard_normal(trained.head_w.shape)
+        trained.save(str(tmp_path / "ckpt"))
+        model, _ = AttentiveAlignmentModel.load(str(tmp_path / "ckpt"))
+        f_src, f_trg = random_features(model.config, B=2, seed=40)
+        pair = f_src[:1], f_trg[:1]
+        cold, cold_state = model.forward_features(*pair, mode="eval")
+        model.forward_features(f_src, f_trg, mode="eval")  # a batched eval, U held
+        assert model.encoder._kernel is not None
+        warm = model.forward_features(*pair, mode="eval")
+        fresh = same_weights(model).forward_features(*pair, mode="eval")
+        for theta, state in (warm, fresh):
+            assert theta.tobytes() == cold.tobytes()
+            assert state.F.tobytes() == cold_state.F.tobytes()
+        # the same forward with the encoder conv as the im2col reference
         conv = network.conv2d_forward
-        monkeypatch.setattr(network, "conv2d_forward", lambda x, w, b, *_: conv(x, w, b))
-        want, im2col_state = model.forward_features(f_src, f_trg, mode="eval")
-        assert cold.tobytes() == want.tobytes()
-        assert cold_state.F.tobytes() == im2col_state.F.tobytes()
-        for a, ref in ((state.F, im2col_state.F), (got, want)):
+        monkeypatch.setattr(network, "conv2d_forward", lambda x, w, b, *U: (
+            (conv2d_im2col_reference(x, w, b), (x, w)) if w.shape[2] > 1 else conv(x, w, b, *U)))
+        want, want_state = model.forward_features(*pair, mode="eval")
+        for a, ref in ((cold_state.F, want_state.F), (cold, want)):
             assert np.abs(a - ref).max() / np.abs(ref).max() <= 1e-12
 
 

@@ -17,7 +17,6 @@ from oacnet.tensor import (
     assert_finite,
     conv2d_backward,
     conv2d_forward,
-    conv2d_multiplies,
     l2_normalize_channels,
     relu_backward,
     relu_forward,
@@ -83,6 +82,8 @@ WINOGRAD_SHAPES = [(B, 3, k + side - 1, k + side - 1, 4, k)
                    for k in (3, 5, 7) for B in (1, 2, 8) for side in (6, 4)] + [
     (2, 3, 12, 9, 4, 5),  # 8 x 5 output
     (8, 128, 15, 15, 128, 7),  # paper-scale encoder, training batch
+    (1, 128, 15, 15, 128, 7),  # paper-scale encoder, one pair
+    (16, 48, 8, 8, 32, 7),  # desk-scale encoder
 ]
 
 
@@ -114,8 +115,13 @@ class TestConv2d:
         assert np.allclose(out, conv2d_reference(x, w, b), atol=1e-12)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="odd side of at most 7, got 2x2"):
             conv2d_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+
+    def test_kernel_beyond_the_toom_cook_points_rejected(self):
+        # F(3x3, 9x9) would need eleven points; there are nine
+        with pytest.raises(ShapeError, match="odd side of at most 7, got 9x9"):
+            conv2d_forward(np.zeros((1, 1, 11, 11)), np.zeros((1, 1, 9, 9)), np.zeros(1))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -143,11 +149,9 @@ class TestConv2d:
         report = grad_check(loss_fn, [wp, bp])
         assert max(report.values()) < 1e-4
 
-    # every row runs im2col; the paper-scale training batch runs Winograd and
-    # is checked for closeness in test_winograd_matches_im2col
+    # every row is a 1x1 conv, one GEMM; the k x k convs run Winograd and are
+    # checked for closeness in test_winograd_matches_im2col
     @pytest.mark.parametrize("B,cin,H,cout,k", [
-        (1, 128, 15, 128, 7),  # paper-scale encoder, one pair
-        (16, 48, 8, 32, 7),    # desk-scale encoder
         (8, 133, 9, 128, 1),   # paper-scale G branch
         (16, 37, 2, 32, 1),    # desk-scale G branch
         (8, 64, 9, 1, 1),      # single-output attention score
@@ -166,35 +170,35 @@ class TestConv2d:
     def test_non_square_backward_matches_im2col_reference(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 6, 5))
-        w = rng.standard_normal((5, 4, 3, 3))
+        w = rng.standard_normal((5, 4, 1, 1))
         out, cache = conv2d_forward(x, w, np.zeros(5))
         gout = rng.standard_normal(out.shape)
-        gx, gw, gb = conv2d_backward(cache, gout)
-        rx, rw, rb = conv2d_backward_im2col_reference(x, w, gout)
-        assert gx.shape == x.shape
-        assert gx.tobytes() == rx.tobytes() and gb.tobytes() == rb.tobytes()
-        # the weight gradient reads the forward's im2col through a transposed
-        # view; at sizes this small, how OpenBLAS rounds a GEMM can depend on
-        # operand layout, so only closeness is asserted here
-        assert np.allclose(gw, rw, rtol=1e-13, atol=1e-13)
+        got = conv2d_backward(cache, gout)
+        ref = conv2d_backward_im2col_reference(x, w, gout)
+        assert got[0].shape == x.shape
+        for name, a, r in zip(("gx", "gw", "gb"), got, ref):
+            assert a.tobytes() == r.tobytes(), name
 
     @pytest.mark.parametrize("B,cin,H,cout,algorithm", [
         (8, 128, 15, 128, "winograd"),  # paper-scale encoder, a training batch
-        (16, 48, 8, 32, "im2col"),      # desk-scale encoder
+        (16, 48, 8, 32, "winograd"),    # desk-scale encoder
+        (8, 133, 9, 128, "gemm"),       # paper-scale G branch
     ])
     def test_channels_last_input_is_byte_equal(self, B, cin, H, cout, algorithm):
         """The direct OAC path hands the encoder a (B, N, H, W) view of
         (H, W, B, N) memory: the forward and backward are byte-equal to those
-        of a C-ordered copy, and gx comes back in x's layout."""
+        of a C-ordered copy, and gx comes back in x's layout. A 1x1 conv
+        takes such a view the same way."""
         rng = np.random.default_rng(B + cin)
         x = rng.standard_normal((B, cin, H, H))
         x_last = np.empty((H, H, B, cin)).transpose(2, 3, 0, 1)
         x_last[...] = x
-        w = rng.standard_normal((cout, cin, 7, 7))
+        k = {"winograd": 7, "gemm": 1}[algorithm]
+        w = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout)
         out, cache = conv2d_forward(x, w, b)
         out_last, cache_last = conv2d_forward(x_last, w, b)
-        assert len(cache) == {"winograd": 4, "im2col": 3}[algorithm]
+        assert len(cache) == {"winograd": 4, "gemm": 2}[algorithm]
         assert out_last.strides == out.strides and out_last.tobytes() == out.tobytes()
         gout = rng.standard_normal(out.shape)
         got, got_last = conv2d_backward(cache, gout), conv2d_backward(cache_last, gout)
@@ -219,16 +223,16 @@ class TestConv2d:
         assert max_relative_deviation(gw, rw) <= 1e-12
         assert gb.tobytes() == rb.tobytes()
 
-    @pytest.mark.parametrize("B,cin,cout,H,k,im2col,winograd,uses_winograd", [
-        (8, 128, 128, 15, 7, 520_224_768, 227_764_224, True),  # paper_train step
-        (1, 128, 128, 15, 7, 65_028_096, 85_370_112, False),  # paper_eval step
-        (16, 48, 32, 8, 7, 4_816_896, 13_499_136, False),  # desk step
-        # fewer multiplies, but the nine Toom-Cook points serve k <= 7 only
-        (8, 128, 128, 17, 9, 859_963_392, 448_284_672, False),
+    @pytest.mark.parametrize("B,cin,cout,H,k", [
+        (8, 133, 128, 9, 1),  # paper-scale G branch
+        (16, 37, 32, 2, 1),  # desk-scale G branch
+        (2, 3, 4, 8, 3),
+        (2, 3, 4, 8, 5),
+        (8, 128, 128, 15, 7),  # paper_train step
+        (1, 128, 128, 15, 7),  # paper_eval step
+        (16, 48, 32, 8, 7),  # desk step
     ])
-    def test_algorithm_chosen_by_multiply_count(self, B, cin, cout, H, k, im2col, winograd,
-                                                uses_winograd, monkeypatch):
-        assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1) == (im2col, winograd)
+    def test_algorithm_chosen_by_kernel_size(self, B, cin, cout, H, k, monkeypatch):
         calls = []
         winograd_forward = tensor.winograd_conv2d_forward
         monkeypatch.setattr(tensor, "winograd_conv2d_forward",
@@ -236,25 +240,19 @@ class TestConv2d:
         out, cache = conv2d_forward(np.zeros((B, cin, H, H)), np.zeros((cout, cin, k, k)),
                                     np.zeros(cout))
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
-        assert len(calls) == int(uses_winograd) and len(cache) == 3 + int(uses_winograd)
+        # the 1x1 GEMM's cache is (x, w), Winograd's (x, w, U, V)
+        assert len(calls) == int(k > 1) and len(cache) == (4 if k > 1 else 2)
 
-    @pytest.mark.parametrize("held,B,cin,cout,H,k,im2col,winograd,uses_winograd", [
-        (True, 8, 128, 128, 15, 7, 520_224_768, 162_736_128, True),  # paper B=8 eval
-        (True, 1, 128, 128, 15, 7, 65_028_096, 20_342_016, True),  # paper_eval step
-        (True, 16, 48, 32, 8, 7, 4_816_896, 7_402_752, False),  # desk eval
-        (True, 1, 133, 128, 9, 1, 1_378_944, 1_569_213, False),  # paper G branch
-        (True, 16, 37, 32, 2, 1, 75_776, 259_920, False),  # desk G branch
-        # no U held yet: a cold one-pair forward stays im2col,
-        # and the paper B=8 eval that fills the cache runs Winograd
-        (False, 1, 128, 128, 15, 7, 65_028_096, 85_370_112, False),
-        (False, 8, 128, 128, 15, 7, 520_224_768, 227_764_224, True),
+    @pytest.mark.parametrize("held,B,cin,cout,H,k", [
+        (True, 8, 128, 128, 15, 7),  # paper B=8 eval
+        (True, 1, 128, 128, 15, 7),  # paper_eval step
+        (True, 16, 48, 32, 8, 7),  # desk eval
+        (False, 1, 128, 128, 15, 7),  # a cold one-pair forward
+        (False, 8, 128, 128, 15, 7),
     ])
-    def test_algorithm_chosen_with_a_kernel_getter(self, held, B, cin, cout, H, k, im2col,
-                                                   winograd, uses_winograd, monkeypatch):
-        # the count leaves the kernel stage out only when the caller passes U,
-        # and Winograd then uses that U rather than computing its own
-        assert conv2d_multiplies(B, cin, cout, k, H - k + 1, H - k + 1,
-                                 kernel_held=held) == (im2col, winograd)
+    def test_algorithm_chosen_with_a_kernel_getter(self, held, B, cin, cout, H, k, monkeypatch):
+        # Winograd uses a U the caller passes rather than computing its own,
+        # and its output is byte-equal to a call that computes U itself
         rng = np.random.default_rng(B + cin + k)
         x = rng.standard_normal((B, cin, H, H))
         w = rng.standard_normal((cout, cin, k, k))
@@ -265,15 +263,12 @@ class TestConv2d:
                             lambda *args: got.append(args[3]) or winograd_forward(*args))
         out, cache = conv2d_forward(x, w, np.zeros(cout), U)
         assert out.shape == (B, cout, H - k + 1, H - k + 1)
-        assert len(got) == int(uses_winograd)
-        assert len(cache) == 3 + int(uses_winograd)
-        if uses_winograd:
-            assert got[0] is U and (U is None or cache[2] is U)
-            plain, _ = winograd_forward(x, w, np.zeros(cout))
-            assert out.tobytes() == plain.tobytes()
+        assert len(got) == 1 and len(cache) == 4
+        assert got[0] is U and (U is None or cache[2] is U)
+        plain, _ = winograd_forward(x, w, np.zeros(cout))
+        assert out.tobytes() == plain.tobytes()
 
     def test_winograd_gradients(self):
-        # B=4, 32 -> 32, 15x15: 15,448,320 Winograd multiplies against 16,257,024
         rng = np.random.default_rng(17)
         xp = Parameter(rng.uniform(-1, 1, (4, 32, 15, 15)), "x")
         wp = Parameter(rng.uniform(-1, 1, (32, 32, 7, 7)), "w")
